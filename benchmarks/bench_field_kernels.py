@@ -92,6 +92,11 @@ PAIRS = {
     "F_81": (lambda: ExtensionField(3, 4), 1, 3.0, 2.0),
 }
 
+#: pure-Python kernel per field: the scalar baseline the sweep's numpy and
+#: naive rows compare against, pinned explicitly because auto-selection
+#: picks numpy for F_83 whenever numpy is installed
+_SCALAR_KERNEL = {"F_83": "prime", "F_81": "table"}
+
 
 def _make_field(label, backend):
     field = PAIRS[label][0]()  # plain constructors: no make_field cache sharing
@@ -178,7 +183,7 @@ def stacks(request, xml_text):
     label = request.param
     return (
         label,
-        _sweep_stack(xml_text, label, None),
+        _sweep_stack(xml_text, label, _SCALAR_KERNEL[label]),
         _sweep_stack(xml_text, label, "naive"),
     )
 
@@ -293,9 +298,6 @@ def test_numpy_stack_is_byte_identical(stacks, xml_text):
 # Kernel x scale sweep -> BENCH_field_kernels.json
 # ----------------------------------------------------------------------
 
-#: auto-selected kernel name per field (the sweep's scalar baseline)
-_AUTO_KERNEL = {"F_83": "prime", "F_81": "table"}
-
 
 class _EventRecorder(ContentHandler):
     """Captures the SAX event stream once so share-encode timing can replay
@@ -404,7 +406,8 @@ def build_trajectory(quick):
             documents[scale_label] = serialize(
                 generate_document(scale=SCALES[scale_label], seed=4242)
             )
-        backends = ["naive", None, "numpy"] if scale_label == "small" else [None, "numpy"]
+        scalar = _SCALAR_KERNEL[label]
+        backends = ["naive", scalar, "numpy"] if scale_label == "small" else [scalar, "numpy"]
         if not HAS_NUMPY:
             backends = [backend for backend in backends if backend != "numpy"]
         encode_reps = 3 if scale_label == "small" else (2 if quick else 3)
@@ -420,7 +423,7 @@ def build_trajectory(quick):
                 "scale": SCALES[scale_label],
                 "scale_label": scale_label,
                 "nodes": len(stack.encoded.node_table),
-                "backend": backend or "auto",
+                "backend": backend,
                 "kernel": stack.encoded.ring.kernel.name,
                 "encode_seconds": round(stack.encode_seconds, 6),
                 "share_encode_seconds": round(
@@ -435,8 +438,8 @@ def build_trajectory(quick):
             by_key[(label, scale_label, row["kernel"])] = row
     speedups = []
     for label, scale_label in combos:
-        auto = _AUTO_KERNEL[label]
-        for candidate, baseline in ((auto, "naive"), ("numpy", auto), ("numpy", "naive")):
+        scalar = _SCALAR_KERNEL[label]
+        for candidate, baseline in ((scalar, "naive"), ("numpy", scalar), ("numpy", "naive")):
             fast = by_key.get((label, scale_label, candidate))
             slow = by_key.get((label, scale_label, baseline))
             if fast is None or slow is None:

@@ -54,9 +54,9 @@ class RowUpsert:
     share: Tuple[int, ...]
     version: int
 
-    def as_wire(self) -> List[object]:
+    def as_wire(self) -> Tuple[object, ...]:
         """Compact JSON-friendly form for the delta payload."""
-        return [self.pre, self.post, self.parent, list(self.share), self.version]
+        return (self.pre, self.post, self.parent, self.share, self.version)
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,8 @@ class StructuralUpdate:
     post: int
     parent: int
 
-    def as_wire(self) -> List[int]:
-        return [self.pre, self.post, self.parent]
+    def as_wire(self) -> Tuple[int, int, int]:
+        return (self.pre, self.post, self.parent)
 
 
 @dataclass
@@ -106,13 +106,20 @@ class WriteDelta:
         return len(self.upserts[0]) if self.upserts else 0
 
     def payload(self, server_index: int) -> Dict[str, object]:
-        """The wire payload of this delta for one server."""
+        """The wire payload of this delta for one server.
+
+        Every sequence is a tuple of ints or of such tuples.  The write
+        journal keeps every committed payload, and the garbage collector
+        stops scanning tuples that hold only ints, so a growing journal
+        does not slow down each full collection.  The codec encodes
+        tuples exactly as it encodes lists.
+        """
         return {
             "base_epoch": self.base_epoch,
             "epoch": self.epoch,
-            "upserts": [row.as_wire() for row in self.upserts[server_index]],
-            "structural": [update.as_wire() for update in self.structural],
-            "deletes": list(self.deletes),
+            "upserts": tuple(row.as_wire() for row in self.upserts[server_index]),
+            "structural": tuple(update.as_wire() for update in self.structural),
+            "deletes": tuple(self.deletes),
         }
 
     def summary(self) -> Dict[str, object]:

@@ -42,6 +42,9 @@ Four interchangeable backends implement the :class:`FieldKernel` interface:
   numpy raises :class:`KernelUnavailableError`, and fields the numpy
   kernels cannot serve (huge primes, extension fields past
   :data:`MAX_TABLE_ORDER`) fall back to the best non-numpy backend.
+  When numpy is importable it is the *default* for prime fields up to
+  :data:`MAX_NUMPY_PRIME` (see :func:`make_kernel`); extension fields keep
+  the pure-Python table kernel unless numpy is requested explicitly.
 
 All kernels operate on canonical integer elements (``range(q)``) and are
 **bit-identical** to the naive ``Field`` methods — the test suite asserts
@@ -1243,11 +1246,15 @@ def make_kernel(field: Field, backend: str = None) -> FieldKernel:
 
     Without an explicit ``backend`` the process-wide default (see
     :func:`set_default_backend`) applies first; failing that the cheapest
-    valid implementation is chosen: direct modular arithmetic for prime
-    fields, log/exp tables for extension fields up to
-    :data:`MAX_TABLE_ORDER` elements, and the naive dispatched path beyond
-    that (where the one-time O(q^2) table build would dwarf any realistic
-    workload).  ``backend`` may name any entry of :data:`KERNEL_BACKENDS`
+    valid implementation is chosen: the vectorized numpy kernel for prime
+    fields up to :data:`MAX_NUMPY_PRIME` when numpy is importable (direct
+    modular arithmetic otherwise, and for bigger primes), log/exp tables
+    for extension fields up to :data:`MAX_TABLE_ORDER` elements, and the
+    naive dispatched path beyond that (where the one-time O(q^2) table
+    build would dwarf any realistic workload).  Extension fields stay on
+    the pure-Python table kernel even with numpy installed: at the small
+    orders the encoding targets its per-call array overhead loses to plain
+    list indexing.  ``backend`` may name any entry of :data:`KERNEL_BACKENDS`
     (the ``"naive"`` backend is the pre-kernel reference path used for
     differential testing and benchmarking; ``"numpy"`` selects the
     vectorized kernels and requires numpy).
@@ -1256,7 +1263,7 @@ def make_kernel(field: Field, backend: str = None) -> FieldKernel:
         backend = _DEFAULT_BACKEND
     if backend is None:
         if field.degree == 1:
-            backend = "prime"
+            backend = "numpy" if np is not None and field.order <= MAX_NUMPY_PRIME else "prime"
         elif field.order <= MAX_TABLE_ORDER:
             backend = "table"
         else:

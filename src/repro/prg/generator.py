@@ -229,22 +229,28 @@ class KeyedPRG:
         rejected band, via the bit-identical scalar loop.
         """
         order = self.field.order
-        row_count = len(states)
+        # In-place updates keep at most two (rows, count) uint64 arrays
+        # alive at once: blocks span whole documents at 10^5 nodes.
         with np.errstate(over="ignore"):
             state_array = np.asarray(states, dtype=np.uint64)
             counters = np.arange(1, count + 1, dtype=np.uint64)
             z = state_array[:, None] + counters[None, :] * np.uint64(_GAMMA)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-            z = z ^ (z >> np.uint64(31))
+            z ^= z >> np.uint64(30)
+            z *= np.uint64(_MIX1)
+            z ^= z >> np.uint64(27)
+            z *= np.uint64(_MIX2)
+            z ^= z >> np.uint64(31)
         remainder = (1 << 64) % order
-        result = (z % np.uint64(order)).astype(np.int64)
+        rejected_rows = None
         if remainder:
             limit = (1 << 64) - remainder
             rejected_rows = (z >= np.uint64(limit)).any(axis=1)
-            if rejected_rows.any():  # pragma: no cover - ~2^-55 per draw
-                for i in np.nonzero(rejected_rows)[0]:
-                    result[i] = self._scalar_generate(int(states[i]), count)
+        z %= np.uint64(order)
+        # every element is now below order < 2**63: reinterpret, no copy
+        result = z.view(np.int64)
+        if rejected_rows is not None and rejected_rows.any():  # pragma: no cover - ~2^-55 per draw
+            for i in np.nonzero(rejected_rows)[0]:
+                result[i] = self._scalar_generate(int(states[i]), count)
         return result
 
     def elements_block(

@@ -7,24 +7,40 @@ objects are rejected — exactly the discipline a real remote boundary imposes,
 which keeps the filter interfaces honest (no accidental passing of live
 Python objects between "client" and "server").
 
-Homogeneous integer lists — the dominant payload of the batched endpoints
-(candidate ``pre`` lists, share coefficient vectors) — are written in a
-compact vector form so a batch of *n* values is encoded once with one byte of
-framing per element rather than five; other payloads use the generic tagged
-encoding.
+Integer vectors and matrices — the dominant payload of the batched
+endpoints (candidate ``pre`` lists, evaluation results, share coefficient
+bundles) — travel as fixed-width little-endian array frames, packed and
+unpacked in one C-level call each by the standard library's
+:mod:`array` module (no numpy needed, so both the pure and the numpy
+installs share one code path):
 
-Lists of such vectors — the share-bundle responses of the batched and
-clustered endpoints (``fetch_shares_batch`` returns one coefficient vector
-per node, per server) — take a *matrix* form: each row is packed at a fixed
-byte width derived from its largest value, so a share vector over a small
-field costs about one byte per coefficient instead of three-plus through the
-generic list path.  Cluster payload accounting therefore reflects what a
-sane wire format would ship, not framing overhead.
+``V`` vector
+    ``V`` + count (4 bytes) + one width byte + ``count * width`` bytes.
+``W`` matrix
+    ``W`` + rows (4 bytes) + cols (4 bytes) + one width byte +
+    ``rows * cols * width`` bytes: a rectangular list of int vectors (a
+    share bundle: one coefficient vector per node) as one packed block.
+
+The width byte is the element width in bytes (1, 2, 4 or 8), with its high
+bit set when the elements are signed; the encoder picks the narrowest width
+that holds the value range, so a share vector over a small field costs one
+byte per coefficient.  Everything else takes the generic tagged form
+(``L`` lists, ``I`` decimal integers): empty lists, matrices of empty or
+ragged rows (a generic list of ``V`` rows), lists containing bools (so
+``True`` never decodes as ``1``) or other non-``int`` integer types, and
+integers outside the 64-bit range.  Integer scalars of other types
+(numpy's ``int64`` and friends, anything registered as
+:class:`numbers.Integral`) encode as plain ``I`` integers and decode as
+Python ``int``.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+import numbers
+import sys
+from array import array
+from itertools import chain
+from typing import Any, List, Optional, Tuple
 
 _TAG_NONE = b"N"
 _TAG_TRUE = b"T"
@@ -35,20 +51,36 @@ _TAG_STR = b"S"
 _TAG_BYTES = b"B"
 _TAG_LIST = b"L"
 _TAG_DICT = b"M"
-#: compact vector-of-ints: the dominant batch payload shape (candidate lists,
-#: share coefficient vectors) costs 1 length byte + digits per element instead
-#: of a 1-byte tag + 4-byte length per element
+#: fixed-width little-endian int vector (see the module docstring)
 _TAG_INTVEC = b"V"
-#: compact matrix: a list of non-negative int vectors (share bundles), each
-#: row packed at a fixed per-row byte width
+#: fixed-width little-endian rectangular int matrix, one packed block
 _TAG_INTMAT = b"W"
 
-#: widest per-element digit string the compact vector form can carry
-_INTVEC_MAX_DIGITS = 255
+#: high bit of the width byte: the packed elements are signed
+_SIGNED = 0x80
 
-#: widest fixed element width (bytes) a matrix row may use; wider rows make
-#: the whole value fall back to the generic list encoding
-_INTMAT_MAX_WIDTH = 8
+
+def _typecode(itemsize: int, signed: bool) -> str:
+    candidates = "bhilq" if signed else "BHILQ"
+    return next(code for code in candidates if array(code).itemsize == itemsize)
+
+
+#: width byte -> array typecode, for every width the frames use
+_TYPECODES = {
+    width | (_SIGNED if signed else 0): _typecode(width, signed)
+    for width in (1, 2, 4, 8)
+    for signed in (False, True)
+}
+
+#: (exclusive upper bound, width byte), narrowest first, for each signedness
+_UNSIGNED_WIDTHS = [(1 << (8 * width), width) for width in (1, 2, 4, 8)]
+_SIGNED_WIDTHS = [(1 << (8 * width - 1), width | _SIGNED) for width in (1, 2, 4, 8)]
+
+#: width byte of unsigned one-byte elements
+_BYTE_WIDTH = bytes((1,))
+
+#: array() packs in native byte order; the wire is little-endian
+_BYTESWAP = sys.byteorder != "little"
 
 
 class CodecError(ValueError):
@@ -82,8 +114,8 @@ class Codec:
             parts.append(_TAG_TRUE)
         elif value is False:
             parts.append(_TAG_FALSE)
-        elif isinstance(value, int):
-            encoded = str(value).encode("ascii")
+        elif isinstance(value, (int, numbers.Integral)):
+            encoded = str(int(value)).encode("ascii")
             parts.append(_TAG_INT + _length(encoded) + encoded)
         elif isinstance(value, float):
             encoded = repr(value).encode("ascii")
@@ -145,46 +177,16 @@ class Codec:
             if tag == _TAG_STR:
                 return raw.decode("utf-8"), offset
             return raw, offset
-        if tag == _TAG_INTMAT:
-            rows, offset = _read_length(payload, offset)
-            matrix = []
-            for _ in range(rows):
-                count, offset = _read_length(payload, offset)
-                if offset >= len(payload):
-                    raise CodecError("truncated payload")
-                width = payload[offset]
-                offset += 1
-                if width == 0:
-                    if count:
-                        raise CodecError("zero-width matrix row with %d elements" % count)
-                    matrix.append([])
-                    continue
-                size = count * width
-                raw = payload[offset : offset + size]
-                if len(raw) != size:
-                    raise CodecError("truncated payload body")
-                offset += size
-                matrix.append(
-                    [
-                        int.from_bytes(raw[start : start + width], "big")
-                        for start in range(0, size, width)
-                    ]
-                )
-            return matrix, offset
         if tag == _TAG_INTVEC:
             count, offset = _read_length(payload, offset)
-            items = []
-            for _ in range(count):
-                if offset >= len(payload):
-                    raise CodecError("truncated payload")
-                size = payload[offset]
-                offset += 1
-                raw = payload[offset : offset + size]
-                if len(raw) != size:
-                    raise CodecError("truncated payload body")
-                items.append(int(raw.decode("ascii")))
-                offset += size
-            return items, offset
+            return _unpack(payload, offset, count)
+        if tag == _TAG_INTMAT:
+            rows, offset = _read_length(payload, offset)
+            cols, offset = _read_length(payload, offset)
+            if not cols:
+                raise CodecError("zero-column matrix frame")
+            flat, offset = _unpack(payload, offset, rows * cols)
+            return [flat[start : start + cols] for start in range(0, len(flat), cols)], offset
         if tag == _TAG_LIST:
             count, offset = _read_length(payload, offset)
             items = []
@@ -203,51 +205,81 @@ class Codec:
         raise CodecError("unknown type tag %r at offset %d" % (tag, offset - 1))
 
 
-def _encode_intvec(values) -> "bytes | None":
-    """Compact encoding of a non-empty homogeneous int list, or ``None``.
-
-    Bools (an ``int`` subclass) and astronomically long integers fall back to
-    the generic list form so decoding always reproduces the input exactly.
-    """
+def _encode_intvec(values) -> Optional[bytes]:
+    """The ``V`` frame of a non-empty list of plain ints, or ``None``."""
     if not values:
         return None
-    chunks = []
-    for value in values:
-        if type(value) is not int:
-            return None
-        digits = str(value).encode("ascii")
-        if len(digits) > _INTVEC_MAX_DIGITS:
-            return None
-        chunks.append(bytes((len(digits),)) + digits)
-    return _TAG_INTVEC + _length_int(len(values)) + b"".join(chunks)
+    packed = _pack(values)
+    if packed is None:
+        return None
+    return _TAG_INTVEC + _length_int(len(values)) + packed
 
 
-def _encode_intmat(values) -> "bytes | None":
-    """Compact encoding of a non-empty list of non-negative int vectors.
-
-    Each row is packed at the fixed byte width of its largest element (so a
-    share vector over a small field costs ~1 byte per coefficient).  Bools,
-    negative values, elements wider than ``_INTMAT_MAX_WIDTH`` bytes and
-    non-vector rows make the value fall back to the generic list form.
-    """
+def _encode_intmat(values) -> Optional[bytes]:
+    """The ``W`` frame of a rectangular list of non-empty int vectors, or ``None``."""
     if not values:
         return None
-    rows = []
+    first = values[0]
+    if not isinstance(first, (list, tuple)):
+        return None
+    cols = len(first)
+    if not cols:
+        return None
     for row in values:
-        if not isinstance(row, (list, tuple)):
+        if not isinstance(row, (list, tuple)) or len(row) != cols:
             return None
-        largest = 0
-        for element in row:
-            if type(element) is not int or element < 0:
-                return None
-            if element > largest:
-                largest = element
-        width = max(1, (largest.bit_length() + 7) // 8) if row else 0
-        if width > _INTMAT_MAX_WIDTH:
-            return None
-        packed = b"".join(element.to_bytes(width, "big") for element in row)
-        rows.append(_length_int(len(row)) + bytes((width,)) + packed)
-    return _TAG_INTMAT + _length_int(len(values)) + b"".join(rows)
+    packed = _pack(list(chain.from_iterable(values)))
+    if packed is None:
+        return None
+    return _TAG_INTMAT + _length_int(len(values)) + _length_int(cols) + packed
+
+
+def _pack(values) -> Optional[bytes]:
+    """Width byte + packed elements of a non-empty list of plain ints.
+
+    ``None`` when an element is not exactly an ``int`` (bools included) or
+    the range needs more than 64 bits.
+    """
+    if set(map(type, values)) != {int}:
+        return None
+    try:  # the common case, a share vector over a small field: one byte each
+        return _BYTE_WIDTH + bytes(values)
+    except ValueError:
+        pass
+    low, high = min(values), max(values)
+    if low >= 0:
+        widths, bound = _UNSIGNED_WIDTHS, high
+    else:
+        widths, bound = _SIGNED_WIDTHS, max(high, -low - 1)
+    for limit, width in widths:
+        if bound < limit:
+            break
+    else:
+        return None
+    packed = array(_TYPECODES[width], values)
+    if _BYTESWAP:
+        packed.byteswap()
+    return bytes((width,)) + packed.tobytes()
+
+
+def _unpack(payload: bytes, offset: int, count: int) -> Tuple[List[int], int]:
+    """Read a width byte + ``count`` packed elements at ``offset``."""
+    if offset >= len(payload):
+        raise CodecError("truncated payload")
+    width = payload[offset]
+    offset += 1
+    typecode = _TYPECODES.get(width)
+    if typecode is None:
+        raise CodecError("unknown array element width byte 0x%02x" % width)
+    size = count * (width & ~_SIGNED)
+    raw = payload[offset : offset + size]
+    if len(raw) != size:
+        raise CodecError("truncated payload body")
+    unpacked = array(typecode)
+    unpacked.frombytes(raw)
+    if _BYTESWAP:
+        unpacked.byteswap()
+    return unpacked.tolist(), offset + size
 
 
 def _length(encoded: bytes) -> bytes:

@@ -21,6 +21,7 @@ from repro.filters.client import ClientFilter
 from repro.filters.interface import MatchRule
 from repro.filters.server import ServerFilter
 from repro.gf.factory import make_field
+from repro.gf.kernels import HAS_NUMPY
 from repro.metrics.counters import EvaluationCounters
 from repro.xmldoc.parser import parse_string
 
@@ -174,7 +175,7 @@ class TestShareCacheAccounting:
             "misses": 0,
             "size": 0,
             "capacity": 256,
-            "backend": "prime",
+            "backend": "numpy" if HAS_NUMPY else "prime",
         }
         server.evaluate_batch([1, 2, 3], 5)
         info = server.share_cache_info()

@@ -17,6 +17,7 @@ from repro.filters.cluster import (
 from repro.filters.interface import MatchRule
 from repro.filters.server import ServerFilter
 from repro.gf.factory import make_field
+from repro.gf.kernels import HAS_NUMPY
 from repro.rmi.cluster import ClusterTransport
 from repro.rmi.proxy import Registry
 from repro.rmi.transport import SimulatedTransport
@@ -487,7 +488,8 @@ class TestFacadeClusterWiring:
         assert aggregate.queries == 1
         assert aggregate.calls == sum(stats.calls for stats in database.per_server_stats)
         assert len(database.per_server_stats) == 3
-        assert all(stats.backend == "prime" for stats in database.per_server_stats)
+        expected = "numpy" if HAS_NUMPY else "prime"
+        assert all(stats.backend == expected for stats in database.per_server_stats)
         database.reset_transport_stats()
         assert database.transport_stats.calls == 0
 

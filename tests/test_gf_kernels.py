@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from repro.gf.base import FieldError
 from repro.gf.factory import make_field
 from repro.gf.kernels import (
+    HAS_NUMPY,
     KERNEL_BACKENDS,
+    MAX_NUMPY_PRIME,
     NaiveKernel,
     PrimeKernel,
     TableKernel,
@@ -35,6 +37,11 @@ FIELDS = {
 KERNELS = [(name, TableKernel) for name in sorted(FIELDS)] + [
     (name, PrimeKernel) for name in sorted(FIELDS) if FIELDS[name].degree == 1
 ]
+
+#: the auto-selected kernel of a prime field up to MAX_NUMPY_PRIME: the
+#: vectorized kernel when numpy is importable, direct modular arithmetic
+#: without it
+AUTO_PRIME_KERNEL = "numpy" if HAS_NUMPY else "prime"
 
 _KERNEL_CACHE = {}
 
@@ -158,19 +165,22 @@ class TestDenseConvolutionShapes:
         if n > 1:
             sparse[1] = field.one
         for kernel in (TableKernel(field), make_kernel(field)):
-            assert kernel.cyclic_convolve(sparse, dense) == naive.cyclic_convolve(
-                sparse, dense
+            # unwrap: the auto-selected numpy kernel returns int64 arrays
+            assert kernel.unwrap(kernel.cyclic_convolve(sparse, dense)) == (
+                naive.cyclic_convolve(sparse, dense)
             )
-            assert kernel.cyclic_convolve(dense, dense) == naive.cyclic_convolve(
-                dense, dense
+            assert kernel.unwrap(kernel.cyclic_convolve(dense, dense)) == (
+                naive.cyclic_convolve(dense, dense)
             )
 
 
 class TestKernelSelection:
-    def test_prime_field_defaults_to_prime_kernel(self):
-        assert make_field(83).kernel.name == "prime"
+    def test_prime_field_defaults_to_numpy_kernel_when_available(self):
+        assert make_field(83).kernel.name == AUTO_PRIME_KERNEL
 
     def test_extension_field_defaults_to_table_kernel(self):
+        # small extension fields stay on the pure-Python tables even with
+        # numpy installed: they beat the array kernel at these orders
         assert make_field(3, 3).kernel.name == "table"
 
     def test_kernel_is_cached_and_shared(self):
@@ -207,8 +217,8 @@ class TestKernelSelection:
         from repro.gf.kernels import HAS_NUMPY, default_backend, set_default_backend
 
         field = PrimeField(83)
-        assert field.kernel.name == "prime"
-        backends = ["table", "naive"] + (["numpy"] if HAS_NUMPY else [])
+        assert field.kernel.name == AUTO_PRIME_KERNEL
+        backends = ["prime", "table", "naive"] + (["numpy"] if HAS_NUMPY else [])
         coeffs_a = [(i * 37 + 11) % 83 for i in range(82)]
         coeffs_b = [(i * 53 + 29) % 83 for i in range(82)]
         reference = None
@@ -229,7 +239,7 @@ class TestKernelSelection:
                     assert stream == reference
         finally:
             set_default_backend(None)
-        assert field.kernel.name == "prime"
+        assert field.kernel.name == AUTO_PRIME_KERNEL
 
     def test_per_field_override_survives_generation_bumps(self):
         from repro.gf.prime import PrimeField
@@ -244,15 +254,18 @@ class TestKernelSelection:
             assert field.kernel.name == "table"
         finally:
             set_default_backend(None)
-        assert field.kernel.name == "prime"
+        assert field.kernel.name == AUTO_PRIME_KERNEL
 
     def test_large_extension_fields_fall_back_to_naive(self):
         # The q x q addition table is only viable for small fields; a big
         # extension field must not hang or exhaust memory on .kernel access.
         field = make_field(2, 10)  # q = 1024 > MAX_TABLE_ORDER
         assert field.kernel.name == "naive"
-        # Large *prime* fields stay on the table-free prime kernel.
-        assert make_field(7919).kernel.name == "prime"
+        # Large *prime* fields stay on table-free kernels: numpy while a
+        # Horner step fits int64, the big-integer prime kernel beyond that.
+        assert make_field(7919).kernel.name == AUTO_PRIME_KERNEL
+        assert make_field(2147483659).order > MAX_NUMPY_PRIME
+        assert make_field(2147483659).kernel.name == "prime"
 
 
 class TestPRGShareMemo:

@@ -180,8 +180,8 @@ class TestDtypeStability:
             assert all(type(value) is int for value in share)
 
     def test_shares_survive_the_wire_codec(self):
-        # The compact int-vector wire encoding type-checks its elements;
-        # a numpy scalar leaking out of the kernel layer would fail here.
+        # The ``V`` array frame takes plain ints only; a numpy scalar leaking
+        # out of the kernel layer would push the row onto the generic list.
         from repro.rmi.codec import Codec
 
         field = make_field(83)
@@ -189,6 +189,7 @@ class TestDtypeStability:
         row = kernel.unwrap(kernel.vec_scale([1, 2, 3], 7))
         payload = {"share": row}
         codec = Codec()
+        assert codec.encode(row)[0:1] == b"V"
         assert codec.decode(codec.encode(payload)) == payload
 
 

@@ -11,6 +11,32 @@ from repro.rmi.transport import SimulatedTransport
 
 CODEC = Codec()
 
+#: the array-frame width boundaries: each signed/unsigned limit, +-1
+_FRAME_BOUNDARIES = sorted(
+    {
+        edge + delta
+        for bits in (7, 8, 15, 16, 31, 32, 63, 64)
+        for edge in (2**bits, -(2**bits))
+        for delta in (-1, 0, 1)
+    }
+    | {0}
+)
+_FRAME_INTS = st.sampled_from(_FRAME_BOUNDARIES) | st.integers(
+    min_value=-(2**66), max_value=2**66
+)
+
+
+def _frame_width(values):
+    """Narrowest array-frame element width for ``values``, or None."""
+    low, high = min(values), max(values)
+    for width in (1, 2, 4, 8):
+        bits = 8 * width
+        if 0 <= low and high < 2**bits:
+            return width
+        if -(2 ** (bits - 1)) <= low and high < 2 ** (bits - 1):
+            return width
+    return None
+
 
 class TestCodec:
     @pytest.mark.parametrize(
@@ -44,7 +70,6 @@ class TestCodec:
             [0],
             [1, -2, 3],
             list(range(-500, 500)),
-            [2**80, -(2**80), 0],
         ]
         for vector in vectors:
             payload = CODEC.encode(vector)
@@ -57,19 +82,93 @@ class TestCodec:
         assert len(CODEC.encode(vector)) < generic_size
 
     def test_bools_and_huge_ints_fall_back_to_generic_list(self):
-        for value in ([True, 1], [1, False], [10**300, 1], []):
+        for value in ([True, 1], [1, False], [10**300, 1], [2**80, -(2**80), 0], []):
             payload = CODEC.encode(value)
-            assert payload[0:1] != b"V"
+            assert payload[0:1] == b"L"
             decoded = CODEC.decode(payload)
             assert decoded == value
             # bool identity is preserved (True must not decode as 1)
             for original, roundtripped in zip(value, decoded):
                 assert type(original) is type(roundtripped)
 
+    def test_numpy_scalars_fall_back_to_generic_ints(self):
+        np = pytest.importorskip("numpy")
+        for value in ([np.int64(5), 3], [np.int64(-(2**63)), np.int64(2**63 - 1)]):
+            payload = CODEC.encode(value)
+            assert payload[0:1] == b"L"
+            decoded = CODEC.decode(payload)
+            assert decoded == [int(element) for element in value]
+            assert all(type(element) is int for element in decoded)
+        for value in ([[np.int64(1), 2], [3, 4]], {"k": np.int32(-7)}):
+            assert CODEC.decode(CODEC.encode(value)) == value
+
     def test_truncated_int_vector_rejected(self):
         payload = CODEC.encode([1, 2, 3])
         with pytest.raises(CodecError):
             CODEC.decode(payload[:-1])
+
+    @pytest.mark.parametrize(
+        "value", [[1, 2, 3], [-1, 2**40], [[1, 2], [3, 4], [5, 6]], [[-(2**20), 7]]]
+    )
+    def test_truncated_array_frames_rejected_at_every_byte(self, value):
+        payload = CODEC.encode(value)
+        assert payload[0:1] in (b"V", b"W")
+        for cut in range(len(payload)):
+            with pytest.raises(CodecError):
+                CODEC.decode(payload[:cut])
+
+    @pytest.mark.parametrize("width_byte", [0x00, 0x03, 0x10, 0x80, 0x83, 0xFF])
+    def test_unknown_width_byte_rejected(self, width_byte):
+        for value, header in (([1, 2], 5), ([[1, 2], [3, 4]], 9)):
+            payload = bytearray(CODEC.encode(value))
+            payload[header] = width_byte
+            with pytest.raises(CodecError):
+                CODEC.decode(bytes(payload))
+
+    def test_zero_column_matrix_frame_rejected(self):
+        payload = b"W" + (3).to_bytes(4, "big") + (0).to_bytes(4, "big") + b"\x01"
+        with pytest.raises(CodecError):
+            CODEC.decode(payload)
+
+    @settings(max_examples=200, deadline=None)
+    @given(vector=st.lists(_FRAME_INTS, min_size=1, max_size=12))
+    def test_int_vector_frame_property(self, vector):
+        """Every packable vector takes the narrowest ``V`` frame; the rest
+        fall back to the generic list; both round-trip exactly."""
+        payload = CODEC.encode(vector)
+        assert CODEC.decode(payload) == vector
+        width = _frame_width(vector)
+        if width is None:
+            assert payload[0:1] == b"L"
+        else:
+            assert payload[0:1] == b"V"
+            assert len(payload) == 1 + 4 + 1 + width * len(vector)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        matrix=st.lists(
+            st.lists(_FRAME_INTS, min_size=1, max_size=5), min_size=1, max_size=5
+        )
+        | st.integers(min_value=1, max_value=5).flatmap(
+            lambda cols: st.lists(
+                st.lists(_FRAME_INTS, min_size=cols, max_size=cols),
+                min_size=1,
+                max_size=5,
+            )
+        )
+    )
+    def test_int_matrix_frame_property(self, matrix):
+        """Rectangular packable matrices take one ``W`` block at the
+        narrowest width; ragged or unpackable ones the generic list."""
+        payload = CODEC.encode(matrix)
+        assert CODEC.decode(payload) == matrix
+        cols = len(matrix[0])
+        width = _frame_width([element for row in matrix for element in row])
+        if width is None or any(len(row) != cols for row in matrix):
+            assert payload[0:1] == b"L"
+        else:
+            assert payload[0:1] == b"W"
+            assert len(payload) == 1 + 4 + 4 + 1 + width * len(matrix) * cols
 
     def test_non_string_dict_keys_rejected(self):
         with pytest.raises(CodecError):

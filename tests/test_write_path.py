@@ -9,6 +9,7 @@ result cache) and the supervisor heal fence — on simulated fleets and on
 a real (2, 4) Shamir subprocess socket fleet.
 """
 
+import gc
 import threading
 
 import pytest
@@ -27,6 +28,7 @@ from repro.encode.tagmap import TagMap
 from repro.filters.cluster import InconsistentShareError
 from repro.gf.factory import make_field
 from repro.rmi.cache import GatewayCache
+from repro.rmi.codec import Codec
 from repro.rmi.supervisor import FleetSupervisor
 from repro.rmi.write import WriteCoordinator, WriteError, WriteJournal
 from repro.storage.errors import StaleVersionError, WriteConflictError
@@ -168,6 +170,35 @@ class TestEndToEndWrites:
         assert epochs == {0: 2, 1: 2, 2: 2, 3: 2}
         assert db.write_coordinator.journal.latest_epoch == 2
         assert db.write_coordinator.stale_servers() == {}
+
+    def test_journaled_payloads_are_int_tuples_the_collector_skips(self):
+        """The journal keeps every committed payload for replay.  Its rows
+        are tuples of ints, which the collector untracks, so full
+        collections stop rescanning every journaled share; the codec
+        ships them byte for byte like the equivalent lists."""
+        db = _db()
+        person = parse_string("<person><name/><city/></person>").root
+        db.insert_subtree(db.plaintext_query("/site/people")[0], person)
+        db.update_tag(db.plaintext_query("//city")[0], "name")
+        db.delete_subtree(db.plaintext_query("//item")[0])
+        gc.collect()
+        gc.collect()
+
+        def as_lists(value):
+            return [as_lists(item) for item in value] if isinstance(value, tuple) else value
+
+        codec = Codec()
+        entries = db.write_coordinator.journal.entries_after(0)
+        assert len(entries) == 3
+        for entry in entries:
+            for payload in entry.payloads:
+                assert payload["upserts"]
+                for key in ("upserts", "structural", "deletes"):
+                    assert type(payload[key]) is tuple
+                for row in payload["upserts"] + payload["structural"]:
+                    assert not gc.is_tracked(row)
+                listed = {key: as_lists(value) for key, value in payload.items()}
+                assert codec.encode(payload) == codec.encode(listed)
 
     def test_writes_require_the_write_config(self):
         from repro.core.database import QueryConfigError
