@@ -160,7 +160,7 @@ class ChaosRun:
     def corrupt(self, index):
         delta = 1 + self.rng.next_below(self.deployment.ring.field.order - 1)
         for pre in self.pres:
-            self.cluster.transports[index].invoke(None, "corrupt_share", (pre, delta))
+            self.transport.invoke(index, "corrupt_share", (pre, delta))
         self.corrupted.add(index)
         self.metrics["corruptions"] += 1
 

@@ -8,9 +8,9 @@ and measures what the multiplexing buys:
 
 * **differential identity** — a (2, 3) Shamir and an n=3 additive
   deployment return byte-identical query results, combined shares and
-  per-server call/byte counters over ``transport="asyncio"`` vs
-  ``transport="socket"`` (both real subprocess fleets), *including with
-  one server SIGKILLed mid-run*,
+  per-server call/byte counters over ``transport="asyncio"`` (a real
+  subprocess fleet) vs ``transport="simulated"`` on the same config,
+  *including with one server SIGKILLed mid-run*,
 * **admission latency** — first-k ``invoke_quorum`` admits the fast
   replies while a delayed straggler is still sleeping, strictly faster
   than ``invoke_all`` (asserted, not just reported),
@@ -161,19 +161,19 @@ def _comparable_stats(database):
     return per_server, aggregate
 
 
-def _assert_byte_identical(socketed, asyncioed):
-    expected = _run_queries(socketed)
+def _assert_byte_identical(simulated, asyncioed):
+    expected = _run_queries(simulated)
     actual = _run_queries(asyncioed)
     for (expected_matches, expected_counters), (matches, counters) in zip(expected, actual):
         assert matches == expected_matches
         assert counters == expected_counters
-    sock_servers, sock_aggregate = _comparable_stats(socketed)
+    sim_servers, sim_aggregate = _comparable_stats(simulated)
     aio_servers, aio_aggregate = _comparable_stats(asyncioed)
-    assert aio_servers == sock_servers
-    assert aio_aggregate == sock_aggregate
-    pres = list(range(1, min(41, socketed.node_count)))
+    assert aio_servers == sim_servers
+    assert aio_aggregate == sim_aggregate
+    pres = list(range(1, min(41, simulated.node_count)))
     assert asyncioed.cluster_client.fetch_shares_batch(pres) == (
-        socketed.cluster_client.fetch_shares_batch(pres)
+        simulated.cluster_client.fetch_shares_batch(pres)
     )
 
 
@@ -187,31 +187,29 @@ def bench_document():
 )
 def test_asyncio_transport_is_byte_identical(bench_document, label, config, victim):
     """Acceptance: results, shares and per-server call/byte counters are
-    identical over the multiplexed asyncio wire and the threaded socket
-    transport — before any fault, and again after one server of *each*
-    fleet takes a real SIGKILL mid-run."""
-    with _build(bench_document, "socket", **config) as socketed:
-        with _build(bench_document, "asyncio", **config) as asyncioed:
-            _assert_byte_identical(socketed, asyncioed)
+    identical over the multiplexed asyncio wire and the in-process
+    simulation of the same config — before any fault, and again after one
+    server takes a real SIGKILL mid-run (marked down on the simulated
+    side, which has no process to kill)."""
+    simulated = _build(bench_document, "simulated", **config)
+    with _build(bench_document, "asyncio", **config) as asyncioed:
+        _assert_byte_identical(simulated, asyncioed)
 
-            # --- kill one server mid-run: a real SIGKILL on both fleets ---
-            socketed.socket_cluster.kill_server(victim)
-            asyncioed.socket_cluster.kill_server(victim)
-            probe = socketed.transport.transports[victim].invoke_detailed(None, "node_count")
-            assert isinstance(probe.error, ServerUnavailable)  # the crash is real
-            with pytest.raises(ServerUnavailable):
-                asyncioed.transport.invoke(victim, "node_count")
+        # --- kill one server mid-run: a real SIGKILL on the asyncio side ---
+        asyncioed.socket_cluster.kill_server(victim)
+        with pytest.raises(ServerUnavailable):  # the crash is real
+            asyncioed.transport.invoke(victim, "node_count")
 
-            # Map the crash onto the transports' down semantics on both
-            # sides, settle the probes' traffic out of the counters, and
-            # prove the identity again over the surviving quorum.
-            socketed.transport.set_down(victim)
-            asyncioed.transport.set_down(victim)
-            socketed.reset_transport_stats()
-            asyncioed.reset_transport_stats()
-            _assert_byte_identical(socketed, asyncioed)
-            per_server, _ = _comparable_stats(asyncioed)
-            assert per_server[victim]["errors"] > 0  # the dead server is charged
+        # Map the crash onto the transports' down semantics on both sides,
+        # settle the probe's traffic out of the counters, and prove the
+        # identity again over the surviving quorum.
+        asyncioed.transport.set_down(victim)
+        simulated.transport.set_down(victim)
+        asyncioed.reset_transport_stats()
+        simulated.reset_transport_stats()
+        _assert_byte_identical(simulated, asyncioed)
+        per_server, _ = _comparable_stats(asyncioed)
+        assert per_server[victim]["errors"] > 0  # the dead server is charged
 
 
 # ----------------------------------------------------------------------

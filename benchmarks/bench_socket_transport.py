@@ -1,21 +1,22 @@
-"""Socket transport vs simulated transport — the differential + RTT bench.
+"""Socket wire vs simulated transport — the differential + RTT bench.
 
-PR 5 put a real TCP transport (subprocess servers on loopback) under the
-unchanged cluster stack; this bench proves the wire changes *nothing* and
-measures what it costs:
+The asyncio transport puts a real TCP wire (subprocess servers on
+loopback) under the unchanged cluster stack; this bench proves the wire
+changes *nothing* and measures what it costs:
 
 * **differential identity** — a (2, 3) Shamir and an n=3 additive
   deployment return byte-identical query results, combined shares and
-  per-server call/byte counters over :class:`SocketTransport` (real
-  subprocess servers) vs :class:`SimulatedTransport`, *including with one
-  server killed mid-run* (the socket side takes a real SIGKILL — the
+  per-server call/byte counters over
+  :class:`~repro.rmi.aio.AsyncClusterTransport` (real subprocess servers,
+  one multiplexed connection each) vs :class:`SimulatedTransport`,
+  *including with one server killed mid-run* (the socket side takes a real SIGKILL — the
   surviving fleet completes via quorum — and the transport-level down
   marking then maps the crash onto the same client-side semantics the
   simulated side models),
 * **measured cost** — wall-clock round-trip of a minimal structural call
   and end-to-end query throughput over the real wire, alongside the
   in-process figures, emitted to ``BENCH_socket_transport.json`` so the
-  transport's overhead is tracked from this PR on.
+  transport's overhead is tracked.
 
 Run as a script to (re)generate the JSON::
 
@@ -138,12 +139,12 @@ def test_socket_transport_is_byte_identical(bench_document, label, config, victi
     identical over real subprocess servers and the in-process simulation —
     before any fault, and again after one server is killed mid-run."""
     simulated = _build(bench_document, "simulated", **config)
-    with _build(bench_document, "socket", **config) as socketed:
+    with _build(bench_document, "asyncio", **config) as socketed:
         _assert_byte_identical(simulated, socketed)
 
         # --- kill one server mid-run: a real SIGKILL on the socket side ---
         socketed.socket_cluster.kill_server(victim)
-        probe = socketed.transport.transports[victim].invoke_detailed(None, "node_count")
+        (probe,) = socketed.transport.invoke_all("node_count", indices=[victim])
         assert isinstance(probe.error, ServerUnavailable)  # the crash is real
 
         # Map the crash onto the transports' down semantics on both sides
@@ -162,7 +163,7 @@ def test_killed_server_completes_via_quorum_without_down_marking(bench_document)
     """Without any client-side marking, the (2, 3) fleet keeps answering
     after a real SIGKILL: quorum completion and fail-over absorb the crash."""
     config = dict(CONFIGS[1][1])
-    with _build(bench_document, "socket", **config) as database:
+    with _build(bench_document, "asyncio", **config) as database:
         before = [matches for matches, _ in _run_queries(database)]
         database.socket_cluster.kill_server(VICTIM)
         after = [matches for matches, _ in _run_queries(database)]
@@ -213,7 +214,7 @@ def build_report(document, quick=False):
     query_rounds = 2 if quick else 5
     series = []
     for label, config, _ in CONFIGS:
-        for mode in ("simulated", "socket"):
+        for mode in ("simulated", "asyncio"):
             database = _build(document, mode, **config)
             try:
                 row = _measure(database, rtt_rounds, query_rounds)
@@ -245,7 +246,7 @@ def test_report_json_is_emitted(bench_document, tmp_path):
     report = _emit(bench_document, quick=QUICK, path=tmp_path / "BENCH_socket_transport.json")
     by_key = {(row["sharing"], row["mode"]): row for row in report["series"]}
     for label, _, _ in CONFIGS:
-        socketed = by_key[(label, "socket")]
+        socketed = by_key[(label, "asyncio")]
         simulated = by_key[(label, "simulated")]
         # the wire costs real time but never extra traffic or failures
         assert socketed["rtt_median_us"] > 0

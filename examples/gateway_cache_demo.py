@@ -39,7 +39,6 @@ from repro.gf.factory import make_field
 from repro.rmi.aio import AsyncClusterTransport, AsyncSocketTransport, LoopThread
 from repro.rmi.gateway import Gateway, GatewayEndpoint
 from repro.rmi.server import SocketServer
-from repro.rmi.socket import SocketTransport
 from repro.xmark.generator import generate_document
 from repro.xmldoc.dtd import XMARK_DTD
 
@@ -82,7 +81,7 @@ class _Stack:
         self.gateway.start()
 
     def endpoint(self, timeout=60.0):
-        return GatewayEndpoint(SocketTransport(self.gateway.address, timeout=timeout))
+        return GatewayEndpoint(self.gateway.address, timeout=timeout)
 
     def close(self):
         self.gateway.close()

@@ -1,10 +1,10 @@
 """Real-process share cluster: subprocess servers, a kill, a quorum save.
 
 Everything the other examples simulate in-process here actually crosses a
-wire: ``transport="socket"`` spawns one ``repro-server`` child process per
+wire: ``transport="asyncio"`` spawns one ``repro-server`` child process per
 share server (each loaded with only its own share slice), and every remote
-call is a length-prefixed frame over a loopback TCP socket with *measured*
-latency and payload bytes.  The walk-through:
+call is an id-tagged frame on one multiplexed loopback TCP connection per
+server, with *measured* latency and payload bytes.  The walk-through:
 
 * deploy a 598-node-class XMark document across a (2, 3) Shamir cluster of
   real subprocesses, health-checked via the ``__ping__`` handshake,
@@ -14,7 +14,7 @@ latency and payload bytes.  The walk-through:
   survivors, with the dead server's connection failures recorded in its
   call statistics rather than hidden,
 * shut the fleet down through the facade's context manager (no orphan
-  processes, sockets or thread pools).
+  processes, sockets or event-loop threads).
 
 Run with::
 
@@ -41,7 +41,7 @@ def main() -> None:
         servers=SERVERS,
         threshold=THRESHOLD,
         sharing="shamir",
-        transport="socket",
+        transport="asyncio",
     ) as database:
         cluster = database.socket_cluster
         print(

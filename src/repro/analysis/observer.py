@@ -43,14 +43,14 @@ class ServerView:
     # Convenience projections
     # ------------------------------------------------------------------
 
-    _EVALUATION_METHODS = ("evaluate", "evaluate_many", "evaluate_batch")
+    _EVALUATION_METHODS = ("evaluate", "evaluate_batch")
     _EXPANSION_METHODS = (
         "children_of",
         "descendants_of",
         "children_of_many",
         "descendants_of_many",
     )
-    _FETCH_METHODS = ("fetch_share", "fetch_shares", "fetch_shares_batch")
+    _FETCH_METHODS = ("fetch_share", "fetch_shares_batch")
 
     def evaluation_points(self) -> List[int]:
         """Distinct evaluation points observed, in first-seen order."""
@@ -160,10 +160,6 @@ class ObservingServerFilter(ServerFilter):
         self.view.record("evaluate", pre=pre, point=point)
         return super().evaluate(pre, point)
 
-    def evaluate_many(self, pres, point):
-        self.view.record("evaluate_many", point=point, pres=tuple(pres))
-        return ServerFilter.evaluate_batch(self, pres, point)
-
     def evaluate_batch(self, pres, point):
         self.view.record("evaluate_batch", point=point, pres=tuple(pres))
         return super().evaluate_batch(pres, point)
@@ -171,10 +167,6 @@ class ObservingServerFilter(ServerFilter):
     def fetch_share(self, pre: int):
         self.view.record("fetch_share", pre=pre)
         return super().fetch_share(pre)
-
-    def fetch_shares(self, pres):
-        self.view.record("fetch_shares", pres=tuple(pres))
-        return ServerFilter.fetch_shares_batch(self, pres)
 
     def fetch_shares_batch(self, pres):
         self.view.record("fetch_shares_batch", pres=tuple(pres))

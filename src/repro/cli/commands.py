@@ -211,7 +211,7 @@ def cmd_server(args: argparse.Namespace) -> int:
     deployment (and of the ``repro-server`` entry point): it loads the node
     table written by ``encode`` / :meth:`Database.save`, rebuilds the ring
     from ``--p``/``--e``, and answers the full ``ServerFilter`` protocol
-    over a length-prefixed framed socket until a ``__shutdown__`` request
+    over the multiplexed socket wire until a ``__shutdown__`` request
     (or Ctrl-C).  On startup it prints one READY line announcing the bound
     port and its pid — the handshake a spawning parent waits for.
     """

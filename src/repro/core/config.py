@@ -10,8 +10,8 @@ four small dataclasses grouped by concern:
   trie transform, storage layout.
 * :class:`ClusterConfig` — the share fleet: server count, sharing
   scheme, threshold, read quorum, verification.
-* :class:`TransportConfig` — how calls travel: simulated / socket /
-  asyncio, latency model, concurrency, hedging, prefetch.
+* :class:`TransportConfig` — how calls travel: simulated or asyncio,
+  latency model, concurrency, hedging, prefetch.
 * :class:`WriteConfig` — the versioned write path: enablement, journal
   retention, reconstruction-time read repair.
 
@@ -88,7 +88,8 @@ class ClusterConfig:
 class TransportConfig:
     """How calls travel and what latency they are charged."""
 
-    #: ``"simulated"``, ``"socket"`` or ``"asyncio"``
+    #: ``"simulated"`` (in-process servers) or ``"asyncio"`` (subprocess
+    #: servers over the socket wire)
     transport: str = "simulated"
     #: single-server mode: cross a simulated RMI boundary (vs in-process)
     use_rmi: bool = True
@@ -97,9 +98,11 @@ class TransportConfig:
     per_call_latency: float = 0.0
     per_byte_latency: float = 0.0
     latency_jitter: float = 0.0
-    #: thread-pool scatter-gather (``False`` = sequential loop)
+    #: simulated makespan clock: ``True`` charges a scatter round its
+    #: critical path, ``False`` the latency sum (replies are identical)
     concurrency: bool = True
-    #: hedged straggler co-issue (socket: rejected; asyncio: RTT quantile)
+    #: hedged straggler co-issue (simulated: modeled ratio; asyncio: an
+    #: observed-RTT quantile)
     hedge: Union[bool, float] = False
     #: structural rounds overlapped with in-flight share reads
     prefetch: int = 0
@@ -211,17 +214,15 @@ class DatabaseConfig:
         cluster_cfg = self.cluster
         transport_cfg = self.transport
         kind = transport_cfg.transport
-        if kind not in ("simulated", "socket", "asyncio"):
+        if kind not in ("simulated", "asyncio"):
             raise QueryConfigError(
-                "unknown transport %r; expected 'simulated', 'socket' or 'asyncio'"
-                % (kind,)
+                "unknown transport %r; expected 'simulated' or 'asyncio'" % (kind,)
             )
         resolved = cluster_cfg.cluster
-        if kind in ("socket", "asyncio"):
+        if kind == "asyncio":
             if resolved is False:
                 raise QueryConfigError(
-                    "transport=%r deploys a share cluster; it conflicts with cluster=False"
-                    % (kind,)
+                    "transport='asyncio' deploys a share cluster; it conflicts with cluster=False"
                 )
             resolved = True
             conflicts = []
@@ -231,14 +232,11 @@ class DatabaseConfig:
                 conflicts.append("per_byte_latency=%r" % transport_cfg.per_byte_latency)
             if transport_cfg.latency_jitter:
                 conflicts.append("latency_jitter=%r" % transport_cfg.latency_jitter)
-            if kind == "socket" and transport_cfg.hedge is not False:
-                conflicts.append("hedge=%r" % (transport_cfg.hedge,))
             if conflicts:
                 raise QueryConfigError(
-                    "the %s transport measures latency instead of modelling it; "
-                    "it conflicts with %s" % (kind, ", ".join(conflicts))
+                    "the asyncio transport measures latency instead of modelling it; "
+                    "it conflicts with %s" % ", ".join(conflicts)
                 )
-        if kind == "asyncio":
             if not transport_cfg.concurrency:
                 raise QueryConfigError(
                     "the asyncio transport is inherently concurrent (one event "

@@ -29,7 +29,7 @@ from repro.gf.factory import make_field
 from repro.metrics.counters import EvaluationCounters
 from repro.prg.seed import SeedFile, generate_seed
 from repro.rmi.aio import AsyncClusterTransport
-from repro.rmi.cluster import ClusterTransport
+from repro.rmi.cluster import ClusterTransport, ClusterTransportBase
 from repro.rmi.proxy import Registry
 from repro.rmi.server import SocketCluster
 from repro.rmi.stats import CallStats
@@ -46,9 +46,9 @@ from repro.xpath.rewrite import rewrite_for_trie
 # surface; imported above and re-exported here, its historical home.
 __all__ = ["EncryptedXMLDatabase", "QueryConfigError", "CLUSTER_TRANSPORT_TYPES"]
 
-#: transports presenting the scatter-gather cluster surface (per-server
-#: stats, quorum reads, the makespan round clock)
-CLUSTER_TRANSPORT_TYPES = (ClusterTransport, AsyncClusterTransport)
+#: the base class of the transports presenting the scatter-gather cluster
+#: surface (per-server stats, quorum reads, the makespan round clock)
+CLUSTER_TRANSPORT_TYPES = ClusterTransportBase
 
 #: one process-wide deprecation notice for the legacy kwarg surface
 _legacy_kwargs_warned = False
@@ -90,7 +90,7 @@ class EncryptedXMLDatabase:
         encoded: Union[EncodedDatabase, ClusterDeployment],
         document: Optional[XMLDocument],
         use_rmi: bool,
-        transport: Union[SimulatedTransport, ClusterTransport],
+        transport: Union[SimulatedTransport, ClusterTransportBase],
         counters: EvaluationCounters,
         trie_transformer: Optional[TrieTransformer],
         batched: bool = True,
@@ -106,7 +106,7 @@ class EncryptedXMLDatabase:
         self.counters = counters
         self.transport = transport
         self._trie_transformer = trie_transformer
-        #: the subprocess fleet behind a ``transport="socket"`` deployment
+        #: the subprocess fleet behind a ``transport="asyncio"`` deployment
         #: (``None`` for in-process transports); owned — :meth:`close`
         #: shuts it down
         self.socket_cluster = socket_cluster
@@ -244,34 +244,30 @@ class EncryptedXMLDatabase:
         ``read_quorum`` / ``verify_shares`` tune the
         :class:`~repro.filters.cluster.ClusterClient` (see there).
 
-        ``concurrency`` selects the thread-pool scatter-gather (the default;
-        ``False`` restores the sequential loop, whose makespan clock charges
-        the per-server latency *sum* per round), ``round_overhead`` adds a
-        fixed modeled cost per scatter round, and ``hedge`` / ``prefetch``
-        enable the latency-optimal read-path options of the
+        ``concurrency`` sets the modeled makespan clock of the simulated
+        cluster: ``True`` (the default) charges each scatter round its
+        critical path, ``False`` the per-server latency *sum*; replies and
+        counters are identical either way.  ``round_overhead`` adds a fixed
+        modeled cost per scatter round, and ``hedge`` / ``prefetch`` enable
+        the latency-optimal read-path options of the
         :class:`~repro.filters.cluster.ClusterClient`: hedged straggler
         co-issue and structural prefetch overlapping in-flight share reads.
 
-        ``transport="socket"`` deploys the share servers as real child
+        ``transport="asyncio"`` deploys the share servers as real child
         processes, each serving its node table over a loopback TCP socket
-        (see :class:`~repro.rmi.server.SocketCluster`); every remote call
-        then crosses an actual wire and the stats record *measured*
-        latency and payload bytes.  The modeled-latency knobs
-        (``per_call_latency`` / ``per_byte_latency`` / ``latency_jitter``)
-        and ``hedge`` (whose trigger compares modeled latencies) do not
-        apply and are rejected.  Use the instance as a context manager —
-        or call :meth:`close` — to shut the server fleet down.
-
-        ``transport="asyncio"`` deploys the same subprocess fleet but talks
-        to it over one *multiplexed* connection per server, all driven by a
+        (see :class:`~repro.rmi.server.SocketCluster`), and talks to them
+        over one *multiplexed* connection per server, all driven by a
         single event loop (see :class:`~repro.rmi.aio.AsyncClusterTransport`)
-        behind the unchanged sync facade: pipelined request ids instead of
-        a pooled socket and a scatter thread per in-flight call, and
-        first-k quorum reads admitted on real arrival.  ``hedge`` is
-        reinterpreted as the observed-RTT *quantile* in ``(0, 1)`` (or
-        ``True`` for 0.95) past which a short quorum co-issues spares;
-        ``concurrency=False`` does not apply (one loop multiplexes every
-        call) and is rejected, as are the modeled-latency knobs.
+        behind the unchanged sync facade.  Every remote call then crosses
+        an actual wire, the stats record *measured* latency and payload
+        bytes, and first-k quorum reads are admitted on real arrival.
+        ``hedge`` is reinterpreted as the observed-RTT *quantile* in
+        ``(0, 1)`` (or ``True`` for 0.95) past which a short quorum
+        co-issues spares.  The modeled-latency knobs (``per_call_latency``
+        / ``per_byte_latency`` / ``latency_jitter``) and
+        ``concurrency=False`` do not apply and are rejected.  Use the
+        instance as a context manager — or call :meth:`close` — to shut the
+        server fleet down.
         """
         if config is not None and legacy_kwargs:
             raise QueryConfigError(
@@ -328,28 +324,14 @@ class EncryptedXMLDatabase:
                 threshold=cluster_cfg.threshold,
                 sharing=cluster_cfg.sharing,
             )
-            if transport in ("socket", "asyncio"):
+            if transport == "asyncio":
                 socket_cluster = SocketCluster.from_deployment(deployment)
-                try:
-                    if transport == "asyncio":
-                        # Same subprocess fleet, different wire: one
-                        # multiplexed connection per server on one event
-                        # loop, instead of pooled sockets + scatter threads.
-                        transport_channel: Union[SimulatedTransport, ClusterTransport] = (
-                            AsyncClusterTransport(
-                                socket_cluster.addresses,
-                                round_overhead=transport_cfg.round_overhead,
-                                hedge=transport_cfg.hedge,
-                            )
-                        )
-                    else:
-                        transport_channel = socket_cluster.cluster_transport(
-                            concurrency=transport_cfg.concurrency,
-                            round_overhead=transport_cfg.round_overhead,
-                        )
-                except Exception:
-                    socket_cluster.shutdown()
-                    raise
+                transport_channel: Union[SimulatedTransport, ClusterTransportBase] = (
+                    socket_cluster.cluster_transport(
+                        round_overhead=transport_cfg.round_overhead,
+                        hedge=transport_cfg.hedge,
+                    )
+                )
             else:
                 server_filters = [
                     ServerFilter(table, deployment.ring) for table in deployment.node_tables
@@ -456,12 +438,12 @@ class EncryptedXMLDatabase:
     def close(self) -> None:
         """Release every transport resource this database owns.
 
-        Drains in-flight scatter calls and shuts down the thread pool and
-        pooled sockets (:meth:`~repro.rmi.cluster.ClusterTransport.close`),
-        then — for a ``transport="socket"`` deployment — stops the server
+        Drains in-flight scatter calls and closes the connections and their
+        event loop (:meth:`~repro.rmi.aio.AsyncClusterTransport.close`),
+        then — for a ``transport="asyncio"`` deployment — stops the server
         subprocess fleet and removes its on-disk tables.  Idempotent, and
         wired into the context-manager ``__exit__``, so examples and CI
-        runs never leak thread pools, sockets or orphan server processes.
+        runs never leak threads, sockets or orphan server processes.
         """
         if self._closed:
             return

@@ -581,10 +581,6 @@ class ClusterClient:
         self._verify_vectors(replies, "evaluate_batch", pres=pres)
         return self.scheme.combine_values_many(replies)
 
-    def evaluate_many(self, pres: List[int], point: int) -> List[int]:
-        """Alias of :meth:`evaluate_batch` (protocol compatibility)."""
-        return self.evaluate_batch(pres, point)
-
     def fetch_share(self, pre: int) -> List[int]:
         """The *combined* server-share coefficients of node ``pre``."""
         return self._cached_call(
@@ -644,18 +640,12 @@ class ClusterClient:
         length = self.ring.length
         return [combined[start : start + length] for start in range(0, len(combined), length)]
 
-    def fetch_shares(self, pres: List[int]) -> List[List[int]]:
-        """Alias of :meth:`fetch_shares_batch` (protocol compatibility)."""
-        return self.fetch_shares_batch(pres)
-
     def close(self) -> None:
-        """Release the transport's pooled resources (threads, sockets).
+        """Release the transport's connection resources (loop thread, sockets).
 
-        Idempotent — delegates to
-        :meth:`~repro.rmi.cluster.ClusterTransport.close`; the client stays
-        usable, resources are reacquired lazily on the next call.  The
+        Idempotent — delegates to the cluster transport's ``close``.  The
         facade's context-manager ``__exit__`` calls this so deployments
-        never leak scatter pools or server connections.
+        never leak server connections.
         """
         self.transport.close()
 

@@ -273,11 +273,6 @@ class ServerFilter(Filter):
                         self._share_cache.popitem(last=False)
         return self._ring.evaluate_many([polys[pre] for pre in pres], point)
 
-    def evaluate_many(self, pres: List[int], point: int) -> List[int]:
-        """Batch variant of :meth:`evaluate` (kept as an alias of
-        :meth:`evaluate_batch` for protocol compatibility)."""
-        return self.evaluate_batch(pres, point)
-
     def fetch_share(self, pre: int) -> List[int]:
         """The raw server-share coefficients of node ``pre``.
 
@@ -298,11 +293,6 @@ class ServerFilter(Filter):
         if absent:
             raise LookupError("no node with pre=%s" % absent)
         return [list(rows[pre]["share"]) for pre in pres]
-
-    def fetch_shares(self, pres: List[int]) -> List[List[int]]:
-        """Batch variant of :meth:`fetch_share` (alias of
-        :meth:`fetch_shares_batch`)."""
-        return self.fetch_shares_batch(pres)
 
     def _share_row(self, pre: int) -> Dict:
         rows = self._table.lookup("pre", pre)

@@ -13,10 +13,10 @@ This package provides that boundary in-process:
   serialisation format for the value types the filters exchange,
 * :class:`~repro.rmi.transport.SimulatedTransport` — a channel that counts
   calls and bytes and can model per-call latency,
-* :class:`~repro.rmi.cluster.ClusterTransport` — the concurrent
-  scatter-gather layer over n such channels: thread-pool ``invoke_all``,
-  first-k ``invoke_quorum`` reads and a makespan clock that models the
-  wall-clock of each round as its critical path,
+* :class:`~repro.rmi.cluster.ClusterTransport` — the scatter-gather
+  layer over n such channels: ``invoke_all``, first-k ``invoke_quorum``
+  reads in modeled arrival order, and a makespan clock that models the
+  wall-clock of each round,
 * :class:`~repro.rmi.proxy.RemoteProxy` / :class:`~repro.rmi.proxy.Registry`
   — RMI-style stubs: the client holds a proxy, every method call is encoded,
   shipped through the transport, executed on the server object and the result
@@ -24,24 +24,22 @@ This package provides that boundary in-process:
 * :class:`~repro.rmi.stats.CallStats` — the per-session accounting the
   benchmark harness reads out.
 
-And the same boundary over a *real* wire (``transport="socket"`` on the
-facade): :class:`~repro.rmi.socket.SocketTransport` speaks a length-prefixed
-framed protocol over TCP or Unix sockets — same codec, same
-``invoke``/``invoke_detailed`` surface, measured latency and bytes — against
-a :class:`~repro.rmi.server.SocketServer` daemon;
+And the same boundary over a *real* wire (``transport="asyncio"`` on the
+facade): :class:`~repro.rmi.aio.AsyncSocketTransport` multiplexes any
+number of pipelined, id-tagged calls over **one** TCP or Unix connection
+per server — same codec, measured latency and bytes — against a
+:class:`~repro.rmi.server.SocketServer` daemon;
+:class:`~repro.rmi.aio.AsyncClusterTransport` scatter-gathers them on a
+single event loop, admitting first-k quorum replies on real arrival and
+hedging stragglers by observed RTT percentiles.  Both cluster transports
+share their fleet state through
+:class:`~repro.rmi.cluster.ClusterTransportBase`.
 :class:`~repro.rmi.server.ServerProcess` and
 :class:`~repro.rmi.server.SocketCluster` run one server (or a whole
 deployment) as child processes with health-check handshake, graceful
-shutdown and kill-based fault injection.
-
-On top of the socket wire sits the asyncio stack (``transport="asyncio"``
-on the facade): :class:`~repro.rmi.aio.AsyncSocketTransport` multiplexes
-any number of pipelined, id-tagged calls over **one** connection per
-server, :class:`~repro.rmi.aio.AsyncClusterTransport` scatter-gathers them
-on a single event loop — admitting first-k quorum replies on real arrival
-and hedging stragglers by observed RTT percentiles — and
+shutdown and kill-based fault injection, and
 :class:`~repro.rmi.gateway.Gateway` serves many concurrent client sessions
-over one such shared fleet (the ``repro-gateway`` daemon;
+over one shared fleet (the ``repro-gateway`` daemon;
 :class:`~repro.rmi.gateway.GatewayProcess` spawns it,
 :class:`~repro.rmi.gateway.GatewayEndpoint` is the client-side proxy).
 """
@@ -57,6 +55,7 @@ from repro.rmi.cache import GatewayCache
 from repro.rmi.cluster import (
     ClusterReply,
     ClusterTransport,
+    ClusterTransportBase,
     InjectedFaultError,
     ServerDownError,
 )
@@ -68,7 +67,6 @@ from repro.rmi.socket import (
     RemoteCallError,
     ServerAddress,
     ServerUnavailable,
-    SocketTransport,
     SocketTransportError,
     UnknownRemoteMethodError,
     WireProtocolError,
@@ -95,6 +93,7 @@ __all__ = [
     "SimulatedTransport",
     "CallOutcome",
     "ClusterTransport",
+    "ClusterTransportBase",
     "ClusterReply",
     "ServerDownError",
     "InjectedFaultError",
@@ -102,7 +101,6 @@ __all__ = [
     "Registry",
     "CallStats",
     "ServerAddress",
-    "SocketTransport",
     "SocketTransportError",
     "ServerUnavailable",
     "WireProtocolError",

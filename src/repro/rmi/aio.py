@@ -1,28 +1,24 @@
-"""Asyncio wire: one multiplexed connection per server, pipelined calls.
-
-The threaded :class:`~repro.rmi.socket.SocketTransport` spends one pooled
-connection *and* one worker thread per in-flight call, and — because a
-measured wire has no useful latency lower bound — the modeled-arrival
-quorum admission degenerates to wait-for-all.  This module rebuilds the
-same call boundary on asyncio:
+"""The socket client: one multiplexed connection per server, pipelined calls.
 
 * :class:`AsyncSocketTransport` — a **single** connection per server
   carrying any number of in-flight calls as id-tagged frames (see
-  :data:`~repro.rmi.socket.MUX_MAGIC`).  Each call parks on a future; one
-  reader task settles them as tagged replies arrive, in whatever order the
-  server answers.  ``Codec`` payloads are byte-identical with the legacy
-  and simulated transports, so per-server call/byte counters match across
-  all three.
-* :class:`AsyncClusterTransport` — the scatter-gather layer, async-native:
-  ``ainvoke_all`` gathers coroutines instead of pool futures, and
-  ``ainvoke_quorum`` admits replies **on arrival** — the k-th reply
-  returns the round, stragglers drain in the background — with optional
-  hedging driven by *observed* per-server RTT percentiles (a
-  :class:`~repro.rmi.stats.QuantileSketch` per server) instead of a static
-  modeled ratio.  The full sync ``ClusterTransport`` surface is presented
-  on top via :class:`LoopThread`, so the existing
+  :mod:`repro.rmi.socket` for the wire format).  Each call parks on a
+  future; one reader task settles them as tagged replies arrive, in
+  whatever order the server answers.  ``Codec`` payloads are
+  byte-identical with the simulated transport, so per-server call/byte
+  counters match across both.
+* :class:`AsyncClusterTransport` — the scatter-gather layer over those
+  connections: ``ainvoke_all`` gathers coroutines, and ``ainvoke_quorum``
+  admits replies **on arrival** — the k-th reply returns the round,
+  stragglers drain in the background — with optional hedging driven by
+  *observed* per-server RTT percentiles (a
+  :class:`~repro.rmi.stats.QuantileSketch` per server).  The sync cluster
+  surface is presented on top via :class:`LoopThread`, so the
   :class:`~repro.filters.cluster.ClusterClient`, both engines and the
-  whole test/benchmark harness run unmodified over the asyncio wire.
+  facade run unmodified over the wire.  A one-server instance is also
+  the sync client of a single server or gateway.
+* :class:`WeightedFairScheduler` — the gateway's cost-aware admission
+  control over one event loop's dispatches.
 
 Error taxonomy and fail-over semantics are unchanged: connect failures,
 timeouts and mid-call connection loss surface as
@@ -42,15 +38,10 @@ import heapq
 import threading
 import time
 from contextlib import suppress
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar
+from typing import Any, Awaitable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from repro.rmi.codec import Codec, CodecError
-from repro.rmi.cluster import (
-    ClusterReply,
-    InjectedFaultError,
-    ServerDownError,
-    _arrival_key,
-)
+from repro.rmi.cluster import ClusterReply, ClusterTransportBase, _arrival_key
 from repro.rmi.socket import (
     DEFAULT_MAX_FRAME_BYTES,
     DEFAULT_TIMEOUT,
@@ -58,6 +49,7 @@ from repro.rmi.socket import (
     STATUS_ERROR,
     STATUS_OK,
     AddressLike,
+    OversizedFrameError,
     ServerAddress,
     ServerUnavailable,
     SocketTransportError,
@@ -360,8 +352,7 @@ class AsyncSocketTransport:
     server processes one connection's requests in order — the pipelining
     win is eliminating the per-request round-trip gap, not reordering.
 
-    Failure semantics (all recorded in :attr:`stats`, mirroring the
-    threaded transport):
+    Failure semantics (all recorded in :attr:`stats`):
 
     * dial failure after ``connect_retries`` attempts, a call exceeding
       ``timeout`` (the *total* deadline: dial + send + reply), and a
@@ -378,8 +369,6 @@ class AsyncSocketTransport:
     The cluster layer's :class:`LoopThread` provides the sync bridge.
     """
 
-    #: latencies are wall-clock measurements (see ``SocketTransport``)
-    measured = True
     #: measured transports have no modeled latency terms
     per_call_latency = 0.0
     per_byte_latency = 0.0
@@ -396,11 +385,15 @@ class AsyncSocketTransport:
     ):
         if timeout <= 0:
             raise ValueError("timeout must be positive")
+        if connect_retries < 1:
+            raise ValueError("connect_retries must be at least 1")
+        if max_frame_bytes < 1:
+            raise ValueError("max_frame_bytes must be positive")
         self.address = ServerAddress.coerce(address)
         self.codec = codec or Codec()
         self.stats = stats or CallStats()
         self.timeout = timeout
-        self.connect_retries = max(1, connect_retries)
+        self.connect_retries = connect_retries
         self.connect_backoff = connect_backoff
         self.max_frame_bytes = max_frame_bytes
         self._reader_task: Optional[asyncio.Task] = None
@@ -497,14 +490,17 @@ class AsyncSocketTransport:
     # Invocation
     # ------------------------------------------------------------------
 
-    async def _roundtrip(self, request: bytes) -> bytes:
-        writer = await self._ensure_connection()
+    async def _roundtrip(self, request: bytes) -> Tuple[bytes, asyncio.StreamWriter]:
+        """Ship one request; the reply payload and the connection it used."""
         call_id = self._next_id
-        self._next_id = (self._next_id + 1) % (1 << 32)
+        # Packed before dialing: an oversized request is a protocol
+        # violation whether or not the peer is reachable.
+        frame = pack_mux_frame(call_id, request, self.max_frame_bytes)
+        self._next_id = (call_id + 1) % (1 << 32)
+        writer = await self._ensure_connection()
         future: asyncio.Future = asyncio.get_event_loop().create_future()
         self._pending[call_id] = future
         try:
-            frame = pack_mux_frame(call_id, request, self.max_frame_bytes)
             try:
                 writer.write(frame)
                 await writer.drain()
@@ -514,7 +510,7 @@ class AsyncSocketTransport:
                 raise ServerUnavailable(
                     "send to %s failed: %s" % (self.address, exc)
                 )
-            return await future
+            return await future, writer
         finally:
             # On success the reader already removed the id; on timeout or
             # failure this abandons it so a late reply is dropped.
@@ -530,9 +526,10 @@ class AsyncSocketTransport:
         """One pipelined remote call; failures captured, never raised.
 
         ``target`` is accepted and ignored (the remote object lives behind
-        the address), matching the threaded transport.  The call is
-        recorded in :attr:`stats` whatever happens; failed calls record
-        zero response bytes, exactly like both existing transports.
+        the address), so the signature matches
+        :meth:`SimulatedTransport.invoke_detailed`.  The call is recorded in
+        :attr:`stats` whatever happens; failed calls record zero response
+        bytes, exactly like the simulated transport.
         """
         kwargs = kwargs or {}
         request = self.codec.encode(
@@ -543,7 +540,7 @@ class AsyncSocketTransport:
         error: Optional[BaseException] = None
         response_size = 0
         try:
-            payload = await asyncio.wait_for(self._roundtrip(request), self.timeout)
+            payload, writer = await asyncio.wait_for(self._roundtrip(request), self.timeout)
         except asyncio.TimeoutError:
             error = ServerUnavailable(
                 "call %r to %s timed out after %.1fs"
@@ -566,10 +563,18 @@ class AsyncSocketTransport:
                     error = WireProtocolError("undecodable error payload: %s" % exc)
                 else:
                     error = decode_exception(described)
+                    if isinstance(error, OversizedFrameError) and self._writer is writer:
+                        # The server drops a connection after refusing an
+                        # oversized request; the next call must redial.
+                        self._teardown(
+                            ServerUnavailable(
+                                "server %s closed the connection after an "
+                                "oversized request" % (self.address,)
+                            )
+                        )
             else:
                 # The stream is formally in sync, but a peer inventing
-                # status bytes has lost our trust — same as the threaded
-                # transport never re-pooling such a connection.
+                # status bytes has lost our trust: drop the connection.
                 error = WireProtocolError(
                     "unknown response status byte %r" % (status,)
                 )
@@ -611,7 +616,7 @@ class AsyncSocketTransport:
         )
 
 
-class AsyncClusterTransport:
+class AsyncClusterTransport(ClusterTransportBase):
     """Asyncio-native scatter-gather over one multiplexed connection per server.
 
     The async core (:meth:`ainvoke`, :meth:`ainvoke_all`,
@@ -630,15 +635,14 @@ class AsyncClusterTransport:
     live non-target spare.  Before any RTT has been observed the deadline
     is unknown and hedging simply stays quiet.
 
-    The complete *sync* ``ClusterTransport`` surface (``invoke_all``,
-    ``invoke_quorum``, ``set_down``, ``inject_faults``, stats accessors,
-    the measured makespan clock…) is provided by submitting the async core
-    to the owned :class:`LoopThread` — which is how the unchanged
-    ``ClusterClient``/engine/facade stack runs over this transport.
+    The fleet state (down set, fault budgets, clock, accounting) comes
+    from :class:`~repro.rmi.cluster.ClusterTransportBase`; the sync call
+    surface (``invoke``, ``invoke_all``, ``invoke_quorum``) submits the
+    async core to the owned :class:`LoopThread` — which is how the
+    ``ClusterClient``/engine/facade stack runs over this transport.  The
+    makespan clock charges each round its measured wall-clock.
     """
 
-    #: replies carry measured wall-clock latencies
-    measured = True
     #: the asyncio transport is inherently concurrent (there is no
     #: sequential mode: one event loop multiplexes every call)
     concurrency = True
@@ -657,21 +661,9 @@ class AsyncClusterTransport:
         loop_thread: Optional[LoopThread] = None,
         name: str = "repro-aio",
     ):
-        if not servers:
-            raise ValueError("a cluster needs at least one server")
-        if round_overhead < 0:
-            raise ValueError("round_overhead must be non-negative")
-        self.servers: List[ServerAddress] = [
-            ServerAddress.coerce(server) for server in servers
-        ]
-        # The loop thread is created lazily on the first *sync* call: an
-        # async-native consumer (the gateway) runs the transport on its own
-        # event loop and must not spawn a bridge thread it never uses.
-        self._owns_loop = loop_thread is None
-        self._loop_thread: Optional[LoopThread] = loop_thread
-        self._loop_name = name
+        addresses = [ServerAddress.coerce(server) for server in servers]
         if transports is None:
-            self.transports: List[AsyncSocketTransport] = [
+            transports = [
                 AsyncSocketTransport(
                     address,
                     codec=codec,
@@ -679,28 +671,24 @@ class AsyncClusterTransport:
                     connect_retries=connect_retries,
                     max_frame_bytes=max_frame_bytes,
                 )
-                for address in self.servers
+                for address in addresses
             ]
-        else:
-            if len(transports) != len(self.servers):
-                raise ValueError(
-                    "got %d transports for %d servers"
-                    % (len(transports), len(self.servers))
-                )
-            self.transports = list(transports)
-        self.round_overhead = round_overhead
+        elif len(transports) != len(addresses):
+            raise ValueError(
+                "got %d transports for %d servers" % (len(transports), len(addresses))
+            )
+        super().__init__(addresses, transports, round_overhead)
+        # The loop thread is created lazily on the first *sync* call: an
+        # async-native consumer (the gateway) runs the transport on its own
+        # event loop and must not spawn a bridge thread it never uses.
+        self._owns_loop = loop_thread is None
+        self._loop_thread: Optional[LoopThread] = loop_thread
+        self._loop_name = name
         self._hedge_quantile = self._coerce_hedge(hedge)
         #: per-server sketches of successful-call RTTs (hedging deadlines)
         self.rtt_sketches: List[QuantileSketch] = [
             QuantileSketch(hedge_window) for _ in self.servers
         ]
-        # One lock covers fault state, the clock and the background set —
-        # mutated from the loop thread and read from sync caller threads.
-        self._lock = threading.Lock()
-        self._down: set = set()
-        self._fault_budget: Dict[int, int] = {}
-        self._clock = 0.0
-        self._round_start = 0.0
         self._background: Set["asyncio.Task"] = set()
         self._closed = False
 
@@ -718,119 +706,8 @@ class AsyncClusterTransport:
             )
         return quantile
 
-    # ------------------------------------------------------------------
-    # Topology and fault control (sync; shared state is lock-guarded)
-    # ------------------------------------------------------------------
-
-    @property
-    def num_servers(self) -> int:
-        """Number of servers behind this transport."""
-        return len(self.servers)
-
-    def _check_index(self, index: int) -> None:
-        if not 0 <= index < len(self.servers):
-            raise IndexError(
-                "server index %d out of range for %d servers"
-                % (index, len(self.servers))
-            )
-
-    def set_down(self, index: int, down: bool = True) -> None:
-        """Mark a server unreachable (drains stragglers first, like the
-        threaded transport, so the flag never races a settling round)."""
-        self._check_index(index)
-        self.drain()
-        with self._lock:
-            if down:
-                self._down.add(index)
-            else:
-                self._down.discard(index)
-
-    def is_down(self, index: int) -> bool:
-        """Whether a server is currently marked unreachable."""
-        self._check_index(index)
-        with self._lock:
-            return index in self._down
-
-    def live_servers(self) -> List[int]:
-        """Indices of servers not marked down."""
-        with self._lock:
-            down = set(self._down)
-        return [index for index in range(len(self.servers)) if index not in down]
-
-    def mark_quarantined(self, index: int) -> None:
-        """Route reads around a server for health reasons (supervisor path).
-
-        Mirrors :meth:`ClusterTransport.mark_quarantined`: same routing
-        effect as :meth:`set_down` plus a tick of the server's quarantine
-        counter, so gateway ``__stats__`` readers see the degradation.
-        """
-        self.set_down(index, True)
-        self.transports[index].stats.count_quarantine()
-
-    def mark_healed(
-        self,
-        index: int,
-        transport: Optional[AsyncSocketTransport] = None,
-        server: Optional[AddressLike] = None,
-    ) -> None:
-        """Bring a healed server back into rotation (supervisor path).
-
-        Mirrors :meth:`ClusterTransport.mark_healed`: optionally swaps in a
-        replacement per-server transport (carrying the old counters forward
-        and closing the old connection) and/or peer address, clears the
-        down flag, and ticks the heal counter.
-        """
-        self._check_index(index)
-        self.drain()
-        if server is not None:
-            self.servers[index] = ServerAddress.coerce(server)
-        if transport is not None:
-            old = self.transports[index]
-            transport.stats.merge(old.stats)
-            self._run(old.aclose())
-            self.transports[index] = transport
-        self.set_down(index, False)
-        self.transports[index].stats.count_heal()
-
-    def inject_faults(self, index: int, count: int = 1) -> None:
-        """Make the next ``count`` invocations of one server fail transiently."""
-        self._check_index(index)
-        if count < 0:
-            raise ValueError("fault count must be non-negative")
-        self.drain()
-        with self._lock:
-            self._fault_budget[index] = self._fault_budget.get(index, 0) + count
-
-    def latency_of(self, index: int) -> float:
-        """Measured transports have no modeled lower bound: always 0.0."""
-        self._check_index(index)
-        return self.transports[index].per_call_latency
-
-    # ------------------------------------------------------------------
-    # Makespan clock (measured wall-clock per round)
-    # ------------------------------------------------------------------
-
-    def _advance_clock(self, elapsed: float, overlap: bool) -> None:
-        elapsed += self.round_overhead
-        with self._lock:
-            if overlap:
-                self._clock = max(self._clock, self._round_start + elapsed)
-            else:
-                self._round_start = self._clock
-                self._clock += elapsed
-
-    def makespan(self) -> float:
-        """Measured wall-clock of the rounds so far (drains stragglers first)."""
-        self.drain()
-        with self._lock:
-            return self._clock
-
-    def reset_makespan(self) -> None:
-        """Zero the wall-clock gauge (between experiment runs)."""
-        self.drain()
-        with self._lock:
-            self._clock = 0.0
-            self._round_start = 0.0
+    def _retire(self, transport: AsyncSocketTransport) -> None:
+        self._run(transport.aclose())
 
     # ------------------------------------------------------------------
     # Async core
@@ -844,30 +721,13 @@ class AsyncClusterTransport:
         kwargs: Optional[Dict[str, Any]],
     ) -> ClusterReply:
         """One call against one server, with failures captured, not raised."""
-        transport = self.transports[index]
-        with self._lock:
-            down = index in self._down
-            faulted = False
-            if not down:
-                budget = self._fault_budget.get(index, 0)
-                if budget > 0:
-                    self._fault_budget[index] = budget - 1
-                    faulted = True
-        if down:
-            transport.stats.record(method, 0, 0, 0.0, error=True)
-            return ClusterReply(
-                index, error=ServerDownError("server %d is down" % index)
-            )
-        if faulted:
-            transport.stats.record(method, 0, 0, 0.0, error=True)
-            return ClusterReply(
-                index,
-                error=InjectedFaultError(
-                    "injected fault on server %d (%s)" % (index, method)
-                ),
-            )
+        refused = self._refused(index, method)
+        if refused is not None:
+            return refused
         try:
-            outcome = await transport.ainvoke_detailed(None, method, args, kwargs)
+            outcome = await self.transports[index].ainvoke_detailed(
+                None, method, args, kwargs
+            )
         except Exception as exc:
             # Request-encoding failures (a caller-side bug) are captured so
             # a scattered round never aborts half-issued.
@@ -904,9 +764,7 @@ class AsyncClusterTransport:
         overlap: bool = False,
     ) -> List[ClusterReply]:
         """Scatter one call, gather every reply (failures captured)."""
-        targets = list(range(len(self.servers)) if indices is None else indices)
-        for index in targets:
-            self._check_index(index)
+        targets = self._targets(indices)
         started = time.perf_counter()
         replies = await asyncio.gather(
             *(self._aoutcome(index, method, args, kwargs) for index in targets)
@@ -935,9 +793,7 @@ class AsyncClusterTransport:
         """
         if k < 1:
             raise ValueError("quorum size must be at least 1, got %d" % k)
-        targets = list(range(len(self.servers)) if indices is None else indices)
-        for index in targets:
-            self._check_index(index)
+        targets = self._targets(indices)
         if not targets:
             return []
         started = time.perf_counter()
@@ -1094,54 +950,3 @@ class AsyncClusterTransport:
         self._run(self.aclose())
         if self._owns_loop:
             self._loop_thread.close()
-
-    # ------------------------------------------------------------------
-    # Accounting (identical contract to the threaded ClusterTransport)
-    # ------------------------------------------------------------------
-
-    def stats_of(self, index: int) -> CallStats:
-        """The per-server call statistics (drains stragglers first)."""
-        self._check_index(index)
-        self.drain()
-        return self.transports[index].stats
-
-    @property
-    def per_server_stats(self) -> List[CallStats]:
-        """Every server's stats, in server order (drained first)."""
-        self.drain()
-        return [transport.stats for transport in self.transports]
-
-    def count_query(self, amount: int = 1) -> None:
-        """Tick the query counter on every server's stats (drained first)."""
-        self.drain()
-        for transport in self.transports:
-            transport.stats.count_query(amount)
-
-    def aggregate_stats(self) -> CallStats:
-        """A merged snapshot of every server's stats (queries = max, makespan
-        = the measured round clock — same conventions as the threaded
-        cluster transport)."""
-        self.drain()
-        merged = CallStats()
-        for transport in self.transports:
-            merged.merge(transport.stats)
-        merged.queries = max(
-            (transport.stats.queries for transport in self.transports), default=0
-        )
-        with self._lock:
-            merged.makespan = self._clock
-        return merged
-
-    def reset_stats(self) -> None:
-        """Zero every server's counters and the clock (between runs)."""
-        self.drain()
-        for transport in self.transports:
-            transport.stats.reset()
-        with self._lock:
-            self._clock = 0.0
-            self._round_start = 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        with self._lock:
-            down = sorted(self._down)
-        return "AsyncClusterTransport(servers=%d, down=%s)" % (len(self.servers), down)

@@ -49,14 +49,13 @@ from collections import OrderedDict
 from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
 
 from repro.rmi.methods import (
-    CACHE_KEY_ALIASES,
     CACHEABLE_METHODS,
     SHARE_READ_METHODS,
     STRUCTURAL_READ_METHODS,
 )
 from repro.rmi.stats import CacheStats
 
-# The method sets and alias folding live in the declarative spec table
+# The method sets live in the declarative spec table
 # (:mod:`repro.rmi.methods`); the names above are re-exported from their
 # historical home so existing imports keep working.  Queue-cursor methods
 # (``open_queue``, ``next_node``, …) are deliberately not cacheable
@@ -149,7 +148,6 @@ class GatewayCache:
         canon = canonical_args(args)
         if canon is None:
             return None
-        method = CACHE_KEY_ALIASES.get(method, method)
         with self._lock:
             return (method, canon, self._epoch)
 

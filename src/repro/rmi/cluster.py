@@ -1,76 +1,72 @@
-"""Concurrent scatter-gather transport over a cluster of share servers.
+"""Scatter-gather over a cluster of share servers.
 
-One :class:`~repro.rmi.transport.SimulatedTransport` per server — each with
-its own :class:`~repro.rmi.stats.CallStats`, codec round-trip and latency
-model — plus the cluster-level operations the
-:class:`~repro.filters.cluster.ClusterClient` needs:
+:class:`ClusterTransportBase` holds the fleet state both cluster
+transports share; the subclasses differ only in how one call executes:
 
-* :meth:`ClusterTransport.invoke` — one call against one named server,
-* :meth:`ClusterTransport.invoke_all` — scatter the same call to every (or a
-  chosen subset of) server(s) over a shared thread pool and gather per-server
-  :class:`ClusterReply` values *without* aborting on individual failures —
-  the caller decides whether the surviving subset suffices,
-* :meth:`ClusterTransport.invoke_quorum` — the latency-optimal read path:
-  scatter to all targets but return as soon as ``k`` *successful* replies
-  have arrived; the remaining in-flight calls drain in the background and
-  are still recorded in their server's stats,
-* fault injection: :meth:`set_down` (a server that stays unreachable) and
-  :meth:`inject_faults` (the next *k* calls fail), both recorded as errors
-  in the affected server's stats so flaky-run traffic is never under-counted,
-* deterministic per-server latency jitter (a seeded multiplier on the
-  configured latencies, modelling heterogeneous hardware),
-* :meth:`aggregate_stats` — the merged cluster-wide
+* :class:`ClusterTransport` — one
+  :class:`~repro.rmi.transport.SimulatedTransport` per in-process server,
+  each with its own :class:`~repro.rmi.stats.CallStats`, codec round-trip
+  and latency model; every call runs in the caller's thread,
+* :class:`~repro.rmi.aio.AsyncClusterTransport` — one multiplexed socket
+  connection per server process, driven by one event loop.
+
+The shared surface is what the :class:`~repro.filters.cluster.ClusterClient`
+needs:
+
+* :meth:`~ClusterTransport.invoke` — one call against one named server,
+* :meth:`~ClusterTransport.invoke_all` — scatter the same call to every (or
+  a chosen subset of) server(s) and gather per-server :class:`ClusterReply`
+  values *without* aborting on individual failures — the caller decides
+  whether the surviving subset suffices,
+* :meth:`~ClusterTransport.invoke_quorum` — the first-k read path: the
+  replies admitted up to the ``k``-th success,
+* fault injection: :meth:`~ClusterTransportBase.set_down` (a server that
+  stays unreachable) and :meth:`~ClusterTransportBase.inject_faults` (the
+  next *k* calls fail), both recorded as errors in the affected server's
+  stats so flaky-run traffic is never under-counted,
+* the supervisor hooks :meth:`~ClusterTransportBase.mark_quarantined` and
+  :meth:`~ClusterTransportBase.mark_healed`,
+* :meth:`~ClusterTransportBase.aggregate_stats` — the merged cluster-wide
   :class:`~repro.rmi.stats.CallStats` via :meth:`CallStats.merge`.
 
-Determinism under concurrency
------------------------------
+Modeled arrival order
+---------------------
 
-For *simulated* transports latencies are modeled (accumulated in the
-stats), never slept — so "which reply arrives first" must not depend on
-thread scheduling.  Replies are therefore admitted in **modeled arrival
-order**: sorted by ``(latency, server index)``, where a still-outstanding
-call is only overtaken once its latency lower bound (the server's
-configured per-call latency) provably exceeds the candidate's arrival
-time.  The admitted reply sequence — and with it every downstream
-reconstruction, verification and counter — is a pure function of the
-configuration, while the calls themselves genuinely execute concurrently
-on the pool.
-
-*Measured* transports (``transport.measured`` is true — the socket and
-asyncio wires) have no useful lower bound: their ``per_call_latency`` is
-0.0, under which the overtake proof degenerates to wait-for-all.  A
-quorum read over measured transports therefore admits replies **on
-arrival** — real completion order — which is where the first-k latency
-win actually comes from on a wire.  Results stay deterministic anyway:
-any k threshold replies reconstruct the same secret, and per-server
-call/byte counters are independent of admission order.
+Simulated latencies are modeled (accumulated in the stats), never slept, so
+"which reply arrives first" is a function of the configuration alone:
+replies are admitted in **modeled arrival order**, sorted by ``(latency,
+server index)``.  :class:`ClusterTransport` issues every call of a round,
+then admits the sorted prefix up to the ``k``-th success; the admitted
+sequence — and with it every downstream reconstruction, verification and
+counter — is deterministic.  Deterministic per-server latency jitter (a
+seeded multiplier on the configured latencies) models heterogeneous
+hardware.
 
 The makespan clock
 ------------------
 
 ``simulated_latency`` accumulates per-server busy time; the *makespan*
-clock models the client's wall-clock instead.  Every round advances it by
+clock models the client's wall-clock instead.  ``concurrency`` chooses how
+:class:`ClusterTransport` charges a round to it:
 
-* the **sum** of the contacted servers' call latencies when the transport
-  runs sequentially (``concurrency=False``) — the cost model the scatter
-  loop used to imply,
+* the **sum** of the contacted servers' call latencies with
+  ``concurrency=False`` — servers answer one after the other,
 * the **maximum** (for a full gather) or the **k-th modeled arrival** (for
-  a first-k quorum read) when scattering concurrently,
+  a first-k quorum read) with ``concurrency=True`` — the servers answer in
+  parallel,
 
-plus a fixed ``round_overhead``.  A round flagged ``overlap=True`` starts at
+plus a fixed ``round_overhead``.  Replies and counters are identical in both
+modes; only the clock differs.  A round flagged ``overlap=True`` starts at
 the previous round's start time instead of the current clock — the prefetch
 pipeline uses this to model structural work hidden behind in-flight share
-fetches.  Since the inputs are modeled, the concurrency win is deterministic
-and measurable without real sleeps.
+fetches.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.prg.generator import SplitMix64
 from repro.rmi.codec import Codec
@@ -96,7 +92,7 @@ class ClusterReply:
     value: Any = None
     #: the exception the call raised, ``None`` on success
     error: Optional[BaseException] = None
-    #: modeled latency of this call on its server
+    #: latency of this call on its server (modeled or measured)
     latency: float = 0.0
 
     @property
@@ -106,114 +102,57 @@ class ClusterReply:
 
 
 def _arrival_key(reply: ClusterReply) -> Tuple[float, int]:
-    """Modeled arrival order: by latency, server index breaking ties."""
+    """Arrival order: by latency, server index breaking ties."""
     return (reply.latency, reply.server)
 
 
-class ClusterTransport:
-    """Carries calls between one client and ``n`` share servers."""
+def _admit(arrivals: Sequence[ClusterReply], k: int) -> List[ClusterReply]:
+    """The prefix of ``arrivals`` up to (and including) the k-th success."""
+    admitted: List[ClusterReply] = []
+    successes = 0
+    for reply in arrivals:
+        admitted.append(reply)
+        if reply.ok:
+            successes += 1
+            if successes >= k:
+                break
+    return admitted
+
+
+class ClusterTransportBase:
+    """The fleet state of a cluster transport: everything but the calls.
+
+    Holds the per-server transports (each with its own
+    :class:`~repro.rmi.stats.CallStats`), the down set and fault budgets,
+    the makespan clock and the accounting readers.  Subclasses execute the
+    calls and may leave stragglers running; :meth:`drain` waits for them,
+    and every accounting reader drains first, so counters are settled
+    whenever they are read.
+
+    One lock covers the fault state (the read-then-decrement of a budget
+    must be atomic), the clock and the subclasses' straggler bookkeeping:
+    the asyncio transport mutates them on its loop thread while sync
+    callers read them from their own.
+    """
 
     def __init__(
         self,
         servers: Sequence[Any],
-        per_call_latency: float = 0.0,
-        per_byte_latency: float = 0.0,
-        codec: Optional[Codec] = None,
-        latency_jitter: float = 0.0,
-        jitter_seed: int = 20050905,
-        concurrency: bool = True,
-        max_workers: Optional[int] = None,
+        transports: Sequence[Any],
         round_overhead: float = 0.0,
-        per_server_latency: Optional[Sequence[float]] = None,
-        transports: Optional[Sequence[Any]] = None,
     ):
-        """``servers`` are the target objects (typically ``ServerFilter`` s).
-
-        ``latency_jitter`` spreads the configured latencies per server by a
-        deterministic factor in ``[1, 1 + latency_jitter)`` drawn from
-        ``jitter_seed`` — server 2 of a jittered cluster is always exactly
-        as slow, so experiments stay reproducible.  ``per_server_latency``
-        pins each server's per-call latency explicitly instead (jitter does
-        not apply on top); tests use it to drive quorum completion orders.
-
-        ``concurrency=False`` restores the sequential scatter loop — same
-        calls, same replies, but the makespan clock charges each round with
-        the sum of the per-server latencies instead of the critical path.
-        ``round_overhead`` is added to the clock once per round, modelling
-        the fixed cost of issuing a scatter.
-
-        ``transports`` supplies one pre-built per-server transport instead
-        of the internally constructed :class:`SimulatedTransport` s — this
-        is how a deployment runs over *real* connections: one
-        :class:`~repro.rmi.socket.SocketTransport` per server (``servers``
-        then holds the peer addresses, which socket transports ignore as
-        call targets).  Any object with the ``invoke_detailed`` /
-        ``stats`` / ``per_call_latency`` surface works.  The latency-model
-        parameters configure the internal transports only, so combining
-        them with ``transports`` is rejected: a measured transport's
-        latency cannot be modelled on top.
-        """
         if not servers:
             raise ValueError("a cluster needs at least one server")
-        if latency_jitter < 0:
-            raise ValueError("latency_jitter must be non-negative")
         if round_overhead < 0:
             raise ValueError("round_overhead must be non-negative")
         self.servers = list(servers)
-        if per_server_latency is not None and len(per_server_latency) != len(self.servers):
-            raise ValueError(
-                "per_server_latency has %d entries for %d servers"
-                % (len(per_server_latency), len(self.servers))
-            )
-        if transports is not None:
-            if len(transports) != len(self.servers):
-                raise ValueError(
-                    "got %d transports for %d servers" % (len(transports), len(self.servers))
-                )
-            if per_call_latency or per_byte_latency or latency_jitter or (
-                per_server_latency is not None
-            ):
-                raise ValueError(
-                    "latency-model parameters do not apply to supplied transports"
-                )
-            self.transports: List[Any] = list(transports)
-        else:
-            rng = SplitMix64(jitter_seed)
-            self.transports = []
-            for index in range(len(self.servers)):
-                factor = 1.0 + latency_jitter * rng.next_float()
-                if per_server_latency is not None:
-                    call_latency = per_server_latency[index]
-                    byte_latency = per_byte_latency
-                else:
-                    call_latency = per_call_latency * factor
-                    byte_latency = per_byte_latency * factor
-                self.transports.append(
-                    SimulatedTransport(
-                        per_call_latency=call_latency,
-                        per_byte_latency=byte_latency,
-                        codec=codec,
-                    )
-                )
-        self.concurrency = bool(concurrency)
-        # Measured transports (socket/asyncio) admit quorum replies in real
-        # completion order; simulated ones keep the deterministic modeled
-        # arrival order (see the module docstring).
-        self._measured = any(
-            getattr(transport, "measured", False) for transport in self.transports
-        )
+        self.transports: List[Any] = list(transports)
         self.round_overhead = round_overhead
-        self._max_workers = max_workers
-        self._executor: Optional[ThreadPoolExecutor] = None
-        # One lock covers the fault state (down-set + budgets: the
-        # read-then-decrement of a budget must be atomic under concurrent
-        # invokes), the makespan clock and the background-drain bookkeeping.
         self._lock = threading.Lock()
         self._down: set = set()
         self._fault_budget: Dict[int, int] = {}
         self._clock = 0.0
         self._round_start = 0.0
-        self._background: List[Future] = []
 
     # ------------------------------------------------------------------
     # Topology and fault control
@@ -228,12 +167,19 @@ class ClusterTransport:
         if not 0 <= index < len(self.servers):
             raise IndexError("server index %d out of range for %d servers" % (index, len(self.servers)))
 
+    def _targets(self, indices: Optional[Sequence[int]]) -> List[int]:
+        """The checked target list of one scatter (``None`` = every server)."""
+        targets = list(range(len(self.servers)) if indices is None else indices)
+        for index in targets:
+            self._check_index(index)
+        return targets
+
     def set_down(self, index: int, down: bool = True) -> None:
         """Mark a server unreachable (or bring it back with ``down=False``).
 
-        In-flight background stragglers are drained first, so the flag only
-        affects calls issued *after* this point — never a race with a
-        first-k round that is still settling.
+        In-flight stragglers are drained first, so the flag only affects
+        calls issued *after* this point — never a race with a first-k round
+        that is still settling.
         """
         self._check_index(index)
         self.drain()
@@ -276,11 +222,11 @@ class ClusterTransport:
 
         Optionally swaps in a replacement per-server ``transport`` (socket
         fleets: the new subprocess's connection) and/or ``server`` target
-        (simulated fleets: the rebuilt :class:`ServerFilter`).  A swapped-in
-        transport inherits the old one's accumulated counters so the
-        per-server trace stays continuous across the generation change; the
-        old transport is closed.  Finally the down flag clears and the heal
-        counter ticks.
+        (simulated fleets: the rebuilt :class:`ServerFilter`; socket fleets:
+        the new address).  A swapped-in transport inherits the old one's
+        accumulated counters so the per-server trace stays continuous
+        across the generation change; the old transport is retired.
+        Finally the down flag clears and the heal counter ticks.
         """
         self._check_index(index)
         self.drain()
@@ -289,19 +235,19 @@ class ClusterTransport:
         if transport is not None:
             old = self.transports[index]
             transport.stats.merge(old.stats)
-            old_close = getattr(old, "close", None)
-            if old_close is not None:
-                old_close()
+            self._retire(old)
             self.transports[index] = transport
         self.set_down(index, False)
         self.transports[index].stats.count_heal()
+
+    def _retire(self, transport: Any) -> None:
+        """Release a per-server transport swapped out by a heal (hook)."""
 
     def inject_faults(self, index: int, count: int = 1) -> None:
         """Make the next ``count`` invocations of one server fail transiently.
 
         Drains in-flight calls first: a straggler from an earlier first-k
-        round must not race the next round for the new budget (the consumed
-        fault would then depend on thread scheduling).
+        round must not race the next round for the new budget.
         """
         self._check_index(index)
         if count < 0:
@@ -310,12 +256,31 @@ class ClusterTransport:
         with self._lock:
             self._fault_budget[index] = self._fault_budget.get(index, 0) + count
 
-    def latency_of(self, index: int) -> float:
-        """The configured (jittered) per-call latency of one server.
+    def _refused(self, index: int, method: str) -> Optional[ClusterReply]:
+        """The failed reply of a call the fleet state refuses, or ``None``.
 
-        This is also the *lower bound* of any call's modeled latency on that
-        server, which is what the quorum gather uses to admit replies in
-        modeled arrival order without waiting for provably slower servers.
+        A call to a down server, or one that draws an injected fault, is
+        recorded in that server's stats (zero payload bytes, the per-call
+        latency as the timeout cost, ``error=True``) and never issued.
+        """
+        with self._lock:
+            if index in self._down:
+                error: ConnectionError = ServerDownError("server %d is down" % index)
+            else:
+                budget = self._fault_budget.get(index, 0)
+                if budget <= 0:
+                    return None
+                self._fault_budget[index] = budget - 1
+                error = InjectedFaultError("injected fault on server %d (%s)" % (index, method))
+        transport = self.transports[index]
+        transport.stats.record(method, 0, 0, transport.per_call_latency, error=True)
+        return ClusterReply(index, error=error, latency=transport.per_call_latency)
+
+    def latency_of(self, index: int) -> float:
+        """The configured per-call latency of one server (0.0 when measured).
+
+        This is also the *lower bound* of any call's latency on that
+        server.
         """
         self._check_index(index)
         return self.transports[index].per_call_latency
@@ -325,7 +290,7 @@ class ClusterTransport:
     # ------------------------------------------------------------------
 
     def _advance_clock(self, elapsed: float, overlap: bool) -> None:
-        """Charge one round to the modeled wall-clock.
+        """Charge one round to the wall-clock gauge.
 
         A normal round starts when the previous one ended; an ``overlap``
         round starts *alongside* the previous round (the prefetch pipeline),
@@ -341,12 +306,11 @@ class ClusterTransport:
                 self._clock += elapsed
 
     def makespan(self) -> float:
-        """The modeled wall-clock spent so far (drains in-flight calls first).
+        """The wall-clock spent so far (drains in-flight calls first).
 
         Unlike the per-server ``simulated_latency`` sums, this gauge charges
-        every scatter round with its *critical path*: the slowest contacted
-        server for a full gather, the k-th modeled arrival for a first-k
-        quorum read, the plain latency sum when the transport is sequential.
+        every scatter round with its *critical path* (see the module
+        docstring).
         """
         self.drain()
         with self._lock:
@@ -360,290 +324,10 @@ class ClusterTransport:
             self._round_start = 0.0
 
     def drain(self) -> None:
-        """Wait for every background-draining call to finish.
-
-        First-k quorum reads leave their stragglers running; their stats
-        land when each call completes.  Every accounting reader
-        (:meth:`stats_of`, :attr:`per_server_stats`, :meth:`aggregate_stats`,
-        :meth:`count_query`, :meth:`makespan`) drains first so counters are
-        settled and deterministic.
-        """
-        with self._lock:
-            pending = list(self._background)
-            self._background.clear()
-        for future in pending:
-            future.exception()  # waits; outcome futures never raise
+        """Wait for every straggler of earlier rounds (none by default)."""
 
     def close(self) -> None:
-        """Drain in-flight calls, release the scatter pool and per-server
-        connection resources.
-
-        Idempotent: every step tolerates already-released state, so CI
-        teardown and the facade's ``__exit__`` can call it unconditionally.
-        The transport stays usable — the pool is recreated lazily on the
-        next concurrent scatter, and a closed
-        :class:`~repro.rmi.socket.SocketTransport` simply dials afresh — so
-        this is also safe between runs of a long-lived deployment to return
-        idle worker threads and sockets.
-        """
-        self.drain()
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-        for transport in self.transports:
-            transport_close = getattr(transport, "close", None)
-            if transport_close is not None:
-                transport_close()
-
-    # ------------------------------------------------------------------
-    # Invocation
-    # ------------------------------------------------------------------
-
-    def _pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._executor is None:
-                workers = self._max_workers or min(len(self.servers), 16)
-                self._executor = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="cluster-scatter"
-                )
-            return self._executor
-
-    def _outcome(
-        self,
-        index: int,
-        method: str,
-        args: Tuple[Any, ...],
-        kwargs: Optional[Dict[str, Any]],
-    ) -> ClusterReply:
-        """One call against one server, with failures captured, not raised."""
-        transport = self.transports[index]
-        with self._lock:
-            down = index in self._down
-            if not down:
-                budget = self._fault_budget.get(index, 0)
-                faulted = budget > 0
-                if faulted:
-                    self._fault_budget[index] = budget - 1
-            else:
-                faulted = False
-        if down:
-            transport.stats.record(method, 0, 0, transport.per_call_latency, error=True)
-            return ClusterReply(
-                index,
-                error=ServerDownError("server %d is down" % index),
-                latency=transport.per_call_latency,
-            )
-        if faulted:
-            transport.stats.record(method, 0, 0, transport.per_call_latency, error=True)
-            return ClusterReply(
-                index,
-                error=InjectedFaultError("injected fault on server %d (%s)" % (index, method)),
-                latency=transport.per_call_latency,
-            )
-        try:
-            outcome = transport.invoke_detailed(self.servers[index], method, args, kwargs)
-        except Exception as exc:
-            # Request-encoding failures (a caller-side bug) are captured like
-            # any other per-server failure so a scattered round never aborts
-            # half-issued; they carry no latency and are not in the stats,
-            # matching the single-transport behaviour.
-            return ClusterReply(index, error=exc)
-        return ClusterReply(
-            index, value=outcome.value, error=outcome.error, latency=outcome.latency
-        )
-
-    def invoke(
-        self,
-        index: int,
-        method: str,
-        args: Tuple[Any, ...] = (),
-        kwargs: Optional[Dict[str, Any]] = None,
-        overlap: bool = False,
-    ) -> Any:
-        """One remote call against server ``index``.
-
-        Unreachable servers and injected faults raise — but are still
-        recorded in that server's stats (zero payload bytes, the per-call
-        latency as the timeout cost, ``error=True``).
-        """
-        self._check_index(index)
-        reply = self._outcome(index, method, args, kwargs)
-        self._advance_clock(reply.latency, overlap)
-        if reply.error is not None:
-            raise reply.error
-        return reply.value
-
-    def invoke_all(
-        self,
-        method: str,
-        args: Tuple[Any, ...] = (),
-        kwargs: Optional[Dict[str, Any]] = None,
-        indices: Optional[Sequence[int]] = None,
-        overlap: bool = False,
-    ) -> List[ClusterReply]:
-        """Scatter one call to many servers, gather per-server replies.
-
-        Individual failures are captured in the reply's ``error`` instead of
-        propagating, so a partial gather is an ordinary outcome — threshold
-        schemes only need enough of the replies to be good.  Replies come
-        back in target order either way; with ``concurrency`` the calls run
-        on the pool and the round costs the slowest server instead of the
-        sum.
-        """
-        targets = list(range(len(self.servers)) if indices is None else indices)
-        for index in targets:
-            self._check_index(index)
-        if self.concurrency and len(targets) > 1:
-            pool = self._pool()
-            futures = [
-                pool.submit(self._outcome, index, method, args, kwargs) for index in targets
-            ]
-            replies = [future.result() for future in futures]
-            elapsed = max((reply.latency for reply in replies), default=0.0)
-        else:
-            replies = [self._outcome(index, method, args, kwargs) for index in targets]
-            elapsed = self._sequential_elapsed(replies)
-        self._advance_clock(elapsed, overlap)
-        return replies
-
-    def _sequential_elapsed(self, replies: Sequence[ClusterReply]) -> float:
-        """Round cost of a sequential scatter: one server after the other."""
-        return sum(reply.latency for reply in replies)
-
-    def invoke_quorum(
-        self,
-        method: str,
-        args: Tuple[Any, ...] = (),
-        k: int = 1,
-        kwargs: Optional[Dict[str, Any]] = None,
-        indices: Optional[Sequence[int]] = None,
-        overlap: bool = False,
-    ) -> List[ClusterReply]:
-        """Scatter to every target but return after ``k`` successful replies.
-
-        The returned list holds the replies *admitted* before the quorum was
-        reached, in arrival order (modeled for simulated transports, real
-        completion order for measured ones) — the first ``k`` successes plus
-        any failures that arrived among them.  Outstanding calls keep
-        draining in the background (their stats land when they complete; see
-        :meth:`drain`), which is exactly the latency-optimal behaviour of a
-        real first-k read: the client stops waiting, the wire traffic
-        happens anyway.
-
-        When fewer than ``k`` targets succeed, every reply is admitted and
-        the caller sees the shortfall.  The makespan clock is charged with
-        the k-th modeled arrival (or the last arrival on a shortfall); the
-        sequential transport still issues every call and charges the sum,
-        preserving identical replies and counters between the two modes.
-        """
-        if k < 1:
-            raise ValueError("quorum size must be at least 1, got %d" % k)
-        targets = list(range(len(self.servers)) if indices is None else indices)
-        for index in targets:
-            self._check_index(index)
-        if not targets:
-            return []
-        if self.concurrency and len(targets) > 1:
-            admitted = self._gather_quorum_concurrent(method, args, kwargs, targets, k)
-            elapsed = admitted[-1].latency if admitted else 0.0
-        else:
-            replies = [self._outcome(index, method, args, kwargs) for index in targets]
-            admitted = self._admit(sorted(replies, key=_arrival_key), k)
-            elapsed = self._sequential_elapsed(replies)
-        self._advance_clock(elapsed, overlap)
-        return admitted
-
-    @staticmethod
-    def _admit(arrivals: Sequence[ClusterReply], k: int) -> List[ClusterReply]:
-        """The prefix of ``arrivals`` up to (and including) the k-th success."""
-        admitted: List[ClusterReply] = []
-        successes = 0
-        for reply in arrivals:
-            admitted.append(reply)
-            if reply.ok:
-                successes += 1
-                if successes >= k:
-                    break
-        return admitted
-
-    def _gather_quorum_concurrent(
-        self,
-        method: str,
-        args: Tuple[Any, ...],
-        kwargs: Optional[Dict[str, Any]],
-        targets: List[int],
-        k: int,
-    ) -> List[ClusterReply]:
-        """Admit replies up to the k-th success, leaving stragglers to drain.
-
-        Measured transports admit in real completion order (the reply that
-        actually arrived first is admitted first); simulated transports
-        admit in modeled arrival order, where a completed reply may only be
-        admitted once no still-outstanding call could arrive before it: an
-        outstanding server's latency is at least its configured per-call
-        latency (payload terms only add), so once that lower bound exceeds
-        the candidate's arrival key the order is settled.  When the quorum
-        completes early, the rest of the futures are left to drain in the
-        background.
-        """
-        pool = self._pool()
-        outstanding: Dict[Future, int] = {}
-        for index in targets:
-            outstanding[pool.submit(self._outcome, index, method, args, kwargs)] = index
-        admitted: List[ClusterReply] = []
-        successes = 0
-        if self._measured:
-            # Admit-on-arrival: no lower-bound proof exists for a measured
-            # wire, and none is needed — completion order *is* arrival order.
-            while successes < k and outstanding:
-                done, _ = wait(list(outstanding), return_when=FIRST_COMPLETED)
-                # A batch of simultaneously-completed futures has no further
-                # arrival information; order it by the measured latency for
-                # stability.
-                for future in sorted(done, key=lambda item: _arrival_key(item.result())):
-                    outstanding.pop(future)
-                    admitted.append(future.result())
-                    if future.result().ok:
-                        successes += 1
-                        if successes >= k:
-                            break
-            if outstanding:
-                with self._lock:
-                    self._background.extend(outstanding)
-            return admitted
-        completed: Deque[ClusterReply] = deque()  # buffer, sorted by modeled arrival
-        while successes < k and (outstanding or completed):
-            # Admit every buffered reply that can no longer be overtaken by
-            # an in-flight call (whose arrival is at least its server's
-            # per-call latency).
-            while completed and successes < k:
-                head_key = _arrival_key(completed[0])
-                if outstanding and min(
-                    (self.latency_of(i), i) for i in outstanding.values()
-                ) <= head_key:
-                    break  # an in-flight call may still arrive first
-                head = completed.popleft()
-                admitted.append(head)
-                if head.ok:
-                    successes += 1
-            if successes >= k:
-                break
-            if not outstanding:
-                continue  # only the buffer is left; next pass drains it
-            done, _ = wait(list(outstanding), return_when=FIRST_COMPLETED)
-            for future in done:
-                outstanding.pop(future)
-                reply = future.result()
-                key = _arrival_key(reply)
-                position = 0
-                while position < len(completed) and _arrival_key(completed[position]) <= key:
-                    position += 1
-                completed.insert(position, reply)
-        if outstanding:
-            with self._lock:
-                self._background.extend(outstanding)
-        return admitted
+        """Release connection resources (none by default; idempotent)."""
 
     # ------------------------------------------------------------------
     # Accounting
@@ -667,8 +351,7 @@ class ClusterTransport:
 
         Each server's ``calls_per_query`` then reads "calls this server did
         per executed query", whether or not the query touched it.  Draining
-        first settles any straggler calls of the finished query, so the
-        per-query figures stay deterministic under concurrency.
+        first settles any straggler calls of the finished query.
         """
         self.drain()
         for transport in self.transports:
@@ -706,4 +389,174 @@ class ClusterTransport:
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         with self._lock:
             down = sorted(self._down)
-        return "ClusterTransport(servers=%d, down=%s)" % (len(self.servers), down)
+        return "%s(servers=%d, down=%s)" % (type(self).__name__, len(self.servers), down)
+
+
+class ClusterTransport(ClusterTransportBase):
+    """Carries calls between one client and ``n`` in-process share servers."""
+
+    def __init__(
+        self,
+        servers: Sequence[Any],
+        per_call_latency: float = 0.0,
+        per_byte_latency: float = 0.0,
+        codec: Optional[Codec] = None,
+        latency_jitter: float = 0.0,
+        jitter_seed: int = 20050905,
+        concurrency: bool = True,
+        round_overhead: float = 0.0,
+        per_server_latency: Optional[Sequence[float]] = None,
+    ):
+        """``servers`` are the target objects (typically ``ServerFilter`` s).
+
+        ``latency_jitter`` spreads the configured latencies per server by a
+        deterministic factor in ``[1, 1 + latency_jitter)`` drawn from
+        ``jitter_seed`` — server 2 of a jittered cluster is always exactly
+        as slow, so experiments stay reproducible.  ``per_server_latency``
+        pins each server's per-call latency explicitly instead (jitter does
+        not apply on top); tests use it to drive quorum completion orders.
+
+        ``concurrency`` only sets the makespan clock: ``True`` charges a
+        round with its critical path, ``False`` with the sum of the
+        per-server latencies.  ``round_overhead`` is added to the clock
+        once per round, modelling the fixed cost of issuing a scatter.
+        """
+        if latency_jitter < 0:
+            raise ValueError("latency_jitter must be non-negative")
+        if per_server_latency is not None and len(per_server_latency) != len(servers):
+            raise ValueError(
+                "per_server_latency has %d entries for %d servers"
+                % (len(per_server_latency), len(servers))
+            )
+        rng = SplitMix64(jitter_seed)
+        transports = []
+        for index in range(len(servers)):
+            factor = 1.0 + latency_jitter * rng.next_float()
+            if per_server_latency is not None:
+                call_latency = per_server_latency[index]
+                byte_latency = per_byte_latency
+            else:
+                call_latency = per_call_latency * factor
+                byte_latency = per_byte_latency * factor
+            transports.append(
+                SimulatedTransport(
+                    per_call_latency=call_latency,
+                    per_byte_latency=byte_latency,
+                    codec=codec,
+                )
+            )
+        super().__init__(servers, transports, round_overhead)
+        self.concurrency = bool(concurrency)
+
+    # ------------------------------------------------------------------
+    # Invocation
+    # ------------------------------------------------------------------
+
+    def _outcome(
+        self,
+        index: int,
+        method: str,
+        args: Tuple[Any, ...],
+        kwargs: Optional[Dict[str, Any]],
+    ) -> ClusterReply:
+        """One call against one server, with failures captured, not raised."""
+        refused = self._refused(index, method)
+        if refused is not None:
+            return refused
+        try:
+            outcome = self.transports[index].invoke_detailed(
+                self.servers[index], method, args, kwargs
+            )
+        except Exception as exc:
+            # Request-encoding failures (a caller-side bug) are captured like
+            # any other per-server failure so a scattered round never aborts
+            # half-issued; they carry no latency and are not in the stats,
+            # matching the single-transport behaviour.
+            return ClusterReply(index, error=exc)
+        return ClusterReply(
+            index, value=outcome.value, error=outcome.error, latency=outcome.latency
+        )
+
+    def _elapsed(self, replies: Sequence[ClusterReply], last: float) -> float:
+        """Round cost: ``last`` (the critical path) when the servers answer
+        concurrently, the latency sum when they answer one after the other."""
+        if self.concurrency:
+            return last
+        return sum(reply.latency for reply in replies)
+
+    def invoke(
+        self,
+        index: int,
+        method: str,
+        args: Tuple[Any, ...] = (),
+        kwargs: Optional[Dict[str, Any]] = None,
+        overlap: bool = False,
+    ) -> Any:
+        """One remote call against server ``index``.
+
+        Unreachable servers and injected faults raise — but are still
+        recorded in that server's stats (zero payload bytes, the per-call
+        latency as the timeout cost, ``error=True``).
+        """
+        self._check_index(index)
+        reply = self._outcome(index, method, args, kwargs)
+        self._advance_clock(reply.latency, overlap)
+        if reply.error is not None:
+            raise reply.error
+        return reply.value
+
+    def invoke_all(
+        self,
+        method: str,
+        args: Tuple[Any, ...] = (),
+        kwargs: Optional[Dict[str, Any]] = None,
+        indices: Optional[Sequence[int]] = None,
+        overlap: bool = False,
+    ) -> List[ClusterReply]:
+        """Scatter one call to many servers, gather per-server replies.
+
+        Individual failures are captured in the reply's ``error`` instead of
+        propagating, so a partial gather is an ordinary outcome — threshold
+        schemes only need enough of the replies to be good.  Replies come
+        back in target order; with ``concurrency`` the round costs the
+        slowest server instead of the sum.
+        """
+        replies = [
+            self._outcome(index, method, args, kwargs) for index in self._targets(indices)
+        ]
+        slowest = max((reply.latency for reply in replies), default=0.0)
+        self._advance_clock(self._elapsed(replies, slowest), overlap)
+        return replies
+
+    def invoke_quorum(
+        self,
+        method: str,
+        args: Tuple[Any, ...] = (),
+        k: int = 1,
+        kwargs: Optional[Dict[str, Any]] = None,
+        indices: Optional[Sequence[int]] = None,
+        overlap: bool = False,
+    ) -> List[ClusterReply]:
+        """Scatter to every target and admit replies up to the ``k``-th success.
+
+        The returned list holds the replies *admitted* before the quorum was
+        reached, in modeled arrival order — the first ``k`` successes plus
+        any failures that arrived among them.  Every target is still called
+        (and recorded in its server's stats), which is exactly the traffic
+        of a real first-k read: the client stops waiting, the wire traffic
+        happens anyway.
+
+        When fewer than ``k`` targets succeed, every reply is admitted and
+        the caller sees the shortfall.  With ``concurrency`` the makespan
+        clock is charged the k-th modeled arrival (or the last arrival on a
+        shortfall), otherwise the sum.
+        """
+        if k < 1:
+            raise ValueError("quorum size must be at least 1, got %d" % k)
+        targets = self._targets(indices)
+        if not targets:
+            return []
+        replies = [self._outcome(index, method, args, kwargs) for index in targets]
+        admitted = _admit(sorted(replies, key=_arrival_key), k)
+        self._advance_clock(self._elapsed(replies, admitted[-1].latency), overlap)
+        return admitted

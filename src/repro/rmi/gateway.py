@@ -57,7 +57,6 @@ from repro.rmi.socket import (
     STATUS_OK,
     AddressLike,
     ServerAddress,
-    SocketTransport,
     UnknownRemoteMethodError,
     WireProtocolError,
 )
@@ -65,7 +64,7 @@ from repro.secretshare.scheme import SharingScheme
 
 # The method sets below come from the declarative spec table in
 # :mod:`repro.rmi.methods` (one row per method: kind, cacheable,
-# mutating, alias, cost); ``EXPORTED_METHODS`` keeps its historical name
+# mutating, cost); ``EXPORTED_METHODS`` keeps its historical name
 # as the gateway's public session surface.  Everything off the surface
 # is answered with a typed UnknownRemoteMethodError, never executed —
 # including the write protocol, which goes through the
@@ -281,13 +280,13 @@ class AsyncClusterClient(ClusterClient):
         if method == "evaluate":
             pre, point = args
             return await self.aevaluate(pre, point)
-        if method in ("evaluate_batch", "evaluate_many"):
+        if method == "evaluate_batch":
             pres, point = args
             return await self.aevaluate_batch(pres, point)
         if method == "fetch_share":
             (pre,) = args
             return await self.afetch_share(pre)
-        if method in ("fetch_shares_batch", "fetch_shares"):
+        if method == "fetch_shares_batch":
             (pres,) = args
             return await self.afetch_shares_batch(pres)
         raise UnknownRemoteMethodError("gateway exports no method %r" % method)
@@ -313,8 +312,8 @@ class AsyncClusterClient(ClusterClient):
 class Gateway(SocketServer):
     """Serves many concurrent client sessions over one shared fleet.
 
-    One event loop runs everything: the client-facing accept loop (both
-    framings, pipelined or legacy), every session's dispatches, and the
+    One event loop runs everything: the client-facing accept loop, every
+    session's pipelined dispatches, and the
     multiplexed upstream connections of the shared
     :class:`~repro.rmi.aio.AsyncClusterTransport`.  The transport must not
     have a sync loop thread of its own — the gateway *is* its event loop.
@@ -556,33 +555,40 @@ class GatewayEndpoint:
     """Client-side proxy: the remote gateway as an in-process endpoint.
 
     Every public attribute access yields a callable that performs one
-    remote call over the transport, so the object drops into any slot
-    expecting a single ``ServerFilter``-surface endpoint — in particular
-    the first argument of :class:`~repro.filters.client.ClientFilter`.
+    remote call, so the object drops into any slot expecting a single
+    ``ServerFilter``-surface endpoint — in particular the first argument
+    of :class:`~repro.filters.client.ClientFilter`.  The calls travel over
+    a one-server :class:`~repro.rmi.aio.AsyncClusterTransport` (its sync
+    bridge); its one connection is this endpoint's gateway session.
+    ``kwargs`` configure that transport (``timeout``, ``connect_retries``,
+    …).
     """
 
-    def __init__(self, transport: SocketTransport):
-        self.transport = transport
+    def __init__(self, address: AddressLike, **kwargs: Any):
+        self.transport = AsyncClusterTransport([address], **kwargs)
+
+    def _invoke(self, method: str, args: Sequence[Any] = (), kwargs: Any = None) -> Any:
+        return self.transport.invoke(0, method, tuple(args), kwargs)
 
     def __getattr__(self, name: str) -> Any:
         if name.startswith("_"):
             raise AttributeError(name)
-        transport = self.transport
+        invoke = self._invoke
 
         def remote_call(*args: Any, **kwargs: Any) -> Any:
-            return transport.invoke(None, name, args, kwargs)
+            return invoke(name, args, kwargs)
 
         remote_call.__name__ = name
         return remote_call
 
     def ping(self) -> Dict[str, Any]:
         """The gateway's ``__ping__`` identity (health check)."""
-        return self.transport.ping()
+        return self._invoke(PING_METHOD)
 
     def stats(self) -> Dict[str, Any]:
         """The gateway's ``__stats__`` snapshot: sessions, cache counters,
         fairness queue state, per-server upstream call statistics."""
-        return self.transport.invoke(None, STATS_METHOD, (), {})
+        return self._invoke(STATS_METHOD)
 
     def bump_epoch(self) -> int:
         """Invalidate the gateway's result cache wholesale (new epoch).
@@ -590,14 +596,14 @@ class GatewayEndpoint:
         The over-the-wire handle a writer calls after mutating rows;
         returns the new epoch (0 when the gateway runs without a cache).
         """
-        return self.transport.invoke(None, BUMP_EPOCH_METHOD, (), {})
+        return self._invoke(BUMP_EPOCH_METHOD)
 
     def close(self) -> None:
-        """Release the proxy's pooled connections."""
+        """Close the session's connection and its loop thread."""
         self.transport.close()
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        return "GatewayEndpoint(%s)" % (self.transport.address,)
+        return "GatewayEndpoint(%s)" % (self.transport.servers[0],)
 
 
 class GatewayProcess(ServerProcess):
@@ -685,4 +691,6 @@ class GatewayProcess(ServerProcess):
 
     def endpoint(self, **kwargs: Any) -> GatewayEndpoint:
         """A fresh client-side proxy session against this gateway."""
-        return GatewayEndpoint(self.transport(**kwargs))
+        if self.address is None:
+            raise RuntimeError("gateway process %s is not running" % self.name)
+        return GatewayEndpoint(self.address, **kwargs)

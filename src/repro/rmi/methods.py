@@ -3,8 +3,7 @@
 Before this module existed the knowledge about remote methods was
 scattered: the gateway kept its exported-session surface as a hand-built
 union (``EXPORTED_METHODS``), the result cache kept its own cacheable
-sets and alias folding (``CACHEABLE_METHODS`` / ``CACHE_KEY_ALIASES``),
-and the admission scheduler kept a third list of batch-priced methods.
+set (``CACHEABLE_METHODS``), and the admission scheduler kept a third list of batch-priced methods.
 Adding one endpoint meant editing three files and hoping the sets stayed
 consistent.
 
@@ -21,8 +20,6 @@ Now every remote method is ONE :class:`MethodSpec` row in
   commits a new table epoch, so they are never cacheable and never on
   the gateway session surface (the write coordinator talks to share
   servers directly and pokes the gateway with ``__bump_epoch__``).
-* ``alias_of`` folds protocol synonyms onto one cache key
-  (``fetch_shares`` hits what ``fetch_shares_batch`` stored).
 * ``cost`` prices admission: ``"batch"`` methods take a ``pres`` list
   first and are charged its length by the fair scheduler; everything
   else costs 1.
@@ -49,7 +46,6 @@ __all__ = [
     "WRITE_METHODS",
     "MUTATING_METHODS",
     "CACHEABLE_METHODS",
-    "CACHE_KEY_ALIASES",
     "BATCH_ARG_METHODS",
     "GATEWAY_EXPORTED_METHODS",
     "SERVER_METHODS",
@@ -72,7 +68,6 @@ class MethodSpec:
     kind: str
     cacheable: bool = False
     mutating: bool = False
-    alias_of: Optional[str] = None
     cost: str = "unit"
 
     def __post_init__(self) -> None:
@@ -99,14 +94,8 @@ METHOD_SPECS: Tuple[MethodSpec, ...] = (
     # -- scatter-gathered share reads (combined results cacheable) -----
     MethodSpec("evaluate", "share-read", cacheable=True),
     MethodSpec("evaluate_batch", "share-read", cacheable=True, cost="batch"),
-    MethodSpec(
-        "evaluate_many", "share-read", cacheable=True, alias_of="evaluate_batch", cost="batch"
-    ),
     MethodSpec("fetch_share", "share-read", cacheable=True),
     MethodSpec("fetch_shares_batch", "share-read", cacheable=True, cost="batch"),
-    MethodSpec(
-        "fetch_shares", "share-read", cacheable=True, alias_of="fetch_shares_batch", cost="batch"
-    ),
     # -- per-session queue cursors (mutable session state, NEVER cached)
     MethodSpec("open_queue", "queue", cost="batch"),
     MethodSpec("open_children_queue", "queue", cost="batch"),
@@ -128,9 +117,6 @@ METHOD_SPECS: Tuple[MethodSpec, ...] = (
 SPECS_BY_NAME: Dict[str, MethodSpec] = {spec.name: spec for spec in METHOD_SPECS}
 if len(SPECS_BY_NAME) != len(METHOD_SPECS):  # pragma: no cover - table sanity
     raise RuntimeError("duplicate method name in METHOD_SPECS")
-for _spec in METHOD_SPECS:  # pragma: no branch - table sanity
-    if _spec.alias_of is not None and _spec.alias_of not in SPECS_BY_NAME:
-        raise RuntimeError("%r aliases unknown method %r" % (_spec.name, _spec.alias_of))
 
 
 def _names(predicate) -> "frozenset[str]":
@@ -158,13 +144,6 @@ MUTATING_METHODS = _names(lambda spec: spec.mutating)
 #: the full cacheable read surface shared across gateway sessions
 CACHEABLE_METHODS = _names(lambda spec: spec.cacheable)
 
-#: protocol aliases that share one cache key (identical args, identical
-#: results), so a client calling ``fetch_shares`` hits what another
-#: session stored via ``fetch_shares_batch``
-CACHE_KEY_ALIASES: Dict[str, str] = {
-    spec.name: spec.alias_of for spec in METHOD_SPECS if spec.alias_of is not None
-}
-
 #: methods whose first argument is a batch (a ``pres`` list): admission
 #: cost scales with the batch size so one hog round is charged what it
 #: actually occupies upstream
@@ -184,7 +163,7 @@ SERVER_METHODS = _names(lambda spec: True)
 
 
 def spec_for(method: str) -> Optional[MethodSpec]:
-    """The spec row of one method (folding aliases is the caller's call)."""
+    """The spec row of one method."""
     return SPECS_BY_NAME.get(method)
 
 

@@ -5,14 +5,13 @@ Three layers, each building on the previous:
 * :class:`SocketServer` — an in-process daemon: bind, then serve every
   connection on **one** asyncio event loop running in a single background
   thread — no thread per socket, no thread per in-flight call — and
-  dispatch framed requests against a target object (any object with public
+  dispatch pipelined, id-tagged request frames (see
+  :mod:`repro.rmi.socket`) against a target object (any object with public
   methods taking/returning codec-serialisable values — in practice a
-  :class:`~repro.filters.server.ServerFilter`).  Each connection speaks
-  either the legacy one-call-at-a-time framing or the multiplexed
-  pipelined framing, auto-detected from the first four bytes (the
-  :data:`~repro.rmi.socket.MUX_MAGIC` preamble reads as an impossibly
-  large legacy length prefix, so the two cannot be confused).  Serves the
-  ``__ping__`` health-check handshake and a graceful ``__shutdown__``.
+  :class:`~repro.filters.server.ServerFilter`).  A connection that does
+  not open with the :data:`~repro.rmi.socket.MUX_MAGIC` preamble is closed
+  without dispatching anything.  Serves the ``__ping__`` health-check
+  handshake and a graceful ``__shutdown__``.
 * :class:`ServerProcess` — one server as a child *process*: spawns
   ``python -m repro.cli server`` (the ``repro-server`` entry point) on a
   saved database file, waits for the READY line announcing the bound port,
@@ -22,7 +21,7 @@ Three layers, each building on the previous:
 * :class:`SocketCluster` — a whole deployment as subprocesses: writes each
   server's share table from a :class:`~repro.encode.deploy.ClusterDeployment`
   to disk, spawns ``n`` :class:`ServerProcess` es, health-checks them all,
-  and hands out the :class:`~repro.rmi.cluster.ClusterTransport` that makes
+  and hands out the :class:`~repro.rmi.aio.AsyncClusterTransport` that makes
   the existing :class:`~repro.filters.cluster.ClusterClient` run over real
   processes unmodified.
 
@@ -49,11 +48,11 @@ import threading
 import time
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.rmi.aio import AsyncClusterTransport, AsyncSocketTransport
 from repro.rmi.codec import Codec, CodecError
 from repro.rmi.socket import (
     DEFAULT_MAX_FRAME_BYTES,
     DEFAULT_TIMEOUT,
-    FRAME_HEADER_BYTES,
     MUX_MAGIC,
     OversizedFrameError,
     PING_METHOD,
@@ -62,7 +61,6 @@ from repro.rmi.socket import (
     STATUS_OK,
     ServerAddress,
     ServerUnavailable,
-    SocketTransport,
     UnknownRemoteMethodError,
     WireProtocolError,
     encode_exception,
@@ -82,14 +80,14 @@ class SocketServer:
     """Hosts one target object behind a TCP or Unix-domain socket.
 
     All connections are served by one asyncio event loop on a single
-    background thread.  Requests on one connection are dispatched
-    *sequentially* — the protocol has stateful, order-dependent endpoints
-    (``open_queue``/``next_node``), and the pipelining win of the
-    multiplexed framing is eliminating the per-request round-trip gap, not
-    reordering a session — while separate connections interleave freely at
-    every await point.  ``delay`` sleeps (asynchronously) before answering
-    each request: deterministic injected per-server latency for benchmarks
-    exercising first-k quorum reads on a real wire.
+    background thread.  Each request is dispatched as its own task the
+    moment its frame arrives; a synchronous target runs each call to
+    completion, so one connection's calls still execute in arrival order —
+    the protocol has stateful, order-dependent endpoints
+    (``open_queue``/``next_node``) — while separate connections interleave
+    freely at every await point.  ``delay`` sleeps (asynchronously) before
+    answering each request: deterministic injected per-server latency for
+    benchmarks exercising first-k quorum reads on a real wire.
 
     ``max_session_inflight`` bounds how many of one *connection's* mux
     requests may be dispatched concurrently (``None`` = unlimited, the
@@ -383,88 +381,18 @@ class SocketServer:
         writer: asyncio.StreamWriter,
         session: Any = None,
     ) -> None:
-        """Detect the framing from the first four bytes and serve the session."""
-        try:
-            first = await reader.readexactly(FRAME_HEADER_BYTES)
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return  # connected and went away: a normal non-session
-            await self._send_legacy_error(
-                writer,
-                WireProtocolError(
-                    "connection closed with %d of %d frame header bytes outstanding"
-                    % (FRAME_HEADER_BYTES - len(exc.partial), FRAME_HEADER_BYTES)
-                ),
-            )
-            return
-        if first == MUX_MAGIC:
-            await self._serve_mux(reader, writer, session)
-        else:
-            await self._serve_legacy(reader, writer, first, session)
+        """Check the preamble, then serve the session.
 
-    async def _serve_legacy(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        header: bytes,
-        session: Any = None,
-    ) -> None:
-        """One call at a time over plain length-prefixed frames."""
-        while True:
-            size = int.from_bytes(header, "big")
-            if size > self.max_frame_bytes:
-                # Oversized request: answer typed, then drop the connection —
-                # framing sync is unrecoverable.
-                await self._send_legacy_error(
-                    writer,
-                    WireProtocolError(
-                        "peer announced a %d-byte frame (limit %d)"
-                        % (size, self.max_frame_bytes)
-                    ),
-                )
-                return
-            try:
-                frame = await reader.readexactly(size)
-            except asyncio.IncompleteReadError as exc:
-                await self._send_legacy_error(
-                    writer,
-                    WireProtocolError(
-                        "connection closed with %d of %d frame body bytes outstanding"
-                        % (size - len(exc.partial), size)
-                    ),
-                )
-                return
-            response, stop_after = await self._respond(frame, session)
-            if len(response) > self.max_frame_bytes:
-                # The encoded result exceeds the frame limit.  Nothing was
-                # written, so framing is intact: answer typed, keep serving.
-                await self._send_legacy_error(
-                    writer,
-                    WireProtocolError(
-                        "frame of %d bytes exceeds the %d-byte limit"
-                        % (len(response), self.max_frame_bytes)
-                    ),
-                )
-            else:
-                writer.write(len(response).to_bytes(FRAME_HEADER_BYTES, "big") + response)
-                await writer.drain()
-            if stop_after:
-                self._shutdown.set()
-                self._signal_stop()
-                return
-            try:
-                header = await reader.readexactly(FRAME_HEADER_BYTES)
-            except asyncio.IncompleteReadError as exc:
-                if not exc.partial:
-                    return  # clean EOF between frames
-                await self._send_legacy_error(
-                    writer,
-                    WireProtocolError(
-                        "connection closed with %d of %d frame header bytes outstanding"
-                        % (FRAME_HEADER_BYTES - len(exc.partial), FRAME_HEADER_BYTES)
-                    ),
-                )
-                return
+        A connection that opens with anything but
+        :data:`~repro.rmi.socket.MUX_MAGIC` is closed unanswered: the peer
+        does not speak this protocol, so nothing it sent is dispatched.
+        """
+        try:
+            preamble = await reader.readexactly(len(MUX_MAGIC))
+        except asyncio.IncompleteReadError:
+            return
+        if preamble == MUX_MAGIC:
+            await self._serve_mux(reader, writer, session)
 
     async def _serve_mux(
         self,
@@ -572,20 +500,6 @@ class SocketServer:
         if self.delay:
             await asyncio.sleep(self.delay)
         return self._handle(frame)
-
-    async def _send_legacy_error(
-        self, writer: asyncio.StreamWriter, error: BaseException
-    ) -> None:
-        # The error description must go out even when the configured frame
-        # limit is tiny (it is what rejected the request).
-        payload = STATUS_ERROR + self.codec.encode(encode_exception(error))
-        if len(payload) > max(self.max_frame_bytes, 4096):  # pragma: no cover
-            return
-        try:
-            writer.write(len(payload).to_bytes(FRAME_HEADER_BYTES, "big") + payload)
-            await writer.drain()
-        except (ConnectionError, OSError):  # pragma: no cover - peer gone
-            pass
 
     async def _send_mux_error(
         self, writer: asyncio.StreamWriter, call_id: int, error: BaseException
@@ -866,19 +780,27 @@ class ServerProcess:
     # Introspection and control
     # ------------------------------------------------------------------
 
-    def transport(self, **kwargs: Any) -> SocketTransport:
+    def transport(self, **kwargs: Any) -> AsyncSocketTransport:
         """A fresh client transport pointed at this server."""
         if self.address is None:
             raise RuntimeError("server process %s is not running" % self.name)
-        return SocketTransport(self.address, **kwargs)
+        return AsyncSocketTransport(self.address, **kwargs)
+
+    def _call(self, method: str, **kwargs: Any) -> Any:
+        """One call on a fresh connection, closed afterwards (sync)."""
+        transport = self.transport(**kwargs)
+
+        async def call() -> Any:
+            try:
+                return await transport.ainvoke(None, method)
+            finally:
+                await transport.aclose()
+
+        return asyncio.run(call())
 
     def ping(self, timeout: float = 5.0) -> Dict[str, Any]:
         """The health-check handshake (raises :class:`ServerUnavailable`)."""
-        transport = self.transport(timeout=timeout)
-        try:
-            return transport.ping()
-        finally:
-            transport.close()
+        return self._call(PING_METHOD, timeout=timeout)
 
     def is_alive(self) -> bool:
         """Whether the child process is still running."""
@@ -903,13 +825,10 @@ class ServerProcess:
         if process is None:
             return
         if process.poll() is None and self.address is not None:
-            transport = SocketTransport(self.address, timeout=timeout, connect_retries=1)
             try:
-                transport.invoke(None, SHUTDOWN_METHOD)
+                self._call(SHUTDOWN_METHOD, timeout=timeout, connect_retries=1)
             except (ConnectionError, RuntimeError):
                 pass
-            finally:
-                transport.close()
             try:
                 process.wait(timeout=timeout)
             except subprocess.TimeoutExpired:
@@ -958,11 +877,11 @@ class SocketCluster:
     Created via :meth:`from_deployment`: each server's node table is saved
     to ``directory`` and served by one :class:`ServerProcess`; every server
     is health-checked before the constructor returns (and every already-
-    spawned server is torn down if any of them fails to come up).  One
-    :class:`SocketTransport` per server — each with its own
-    :class:`~repro.rmi.stats.CallStats` — feeds
-    :meth:`cluster_transport`, which the existing cluster client stack
-    consumes unchanged.
+    spawned server is torn down if any of them fails to come up).
+    :meth:`cluster_transport` hands out an
+    :class:`~repro.rmi.aio.AsyncClusterTransport` over the servers'
+    :attr:`addresses`, which the existing cluster client stack consumes
+    unchanged.
 
     :meth:`kill_server` maps the transport layer's down/fault semantics
     onto real processes: the victim dies mid-call with SIGKILL and every
@@ -970,24 +889,21 @@ class SocketCluster:
     :class:`~repro.rmi.socket.ServerUnavailable` (a ``ConnectionError``,
     so quorum completion and fail-over engage exactly as for a simulated
     down server).  :meth:`shutdown` is idempotent and reclaims everything:
-    client connections, server processes, and the on-disk tables when the
-    cluster owns its directory.
+    server processes, and the on-disk tables when the cluster owns its
+    directory.
     """
 
     def __init__(
         self,
         processes: Sequence[ServerProcess],
-        transports: Sequence[SocketTransport],
         directory: Optional[str] = None,
         owns_directory: bool = False,
+        timeout: float = DEFAULT_TIMEOUT,
     ):
-        if len(processes) != len(transports):
-            raise ValueError(
-                "%d processes but %d transports" % (len(processes), len(transports))
-            )
         self.processes = list(processes)
-        self.transports = list(transports)
         self.directory = directory
+        #: per-call timeout of the client transports this cluster hands out
+        self.timeout = timeout
         self._owns_directory = owns_directory
         self._closed = False
         #: table-generation counter per healed slot (names replacement files)
@@ -1017,7 +933,6 @@ class SocketCluster:
             directory = tempfile.mkdtemp(prefix="repro-socket-cluster-")
         field = deployment.ring.field
         processes: List[ServerProcess] = []
-        transports: List[SocketTransport] = []
         try:
             # Launch every child first (Popen does not block), then await
             # the READY lines: fleet startup costs the slowest child's boot
@@ -1040,24 +955,15 @@ class SocketCluster:
             for process in processes:
                 process.await_ready()
                 process.ping(timeout=timeout)
-                # Two dial attempts, not the lone-transport default of four:
-                # the cluster has quorum completion and fail-over for dead
-                # peers, so burning backoff per call on a crashed server
-                # would only stretch every round's tail.
-                transports.append(
-                    process.transport(
-                        timeout=timeout,
-                        max_frame_bytes=max_frame_bytes,
-                        connect_retries=2,
-                    )
-                )
         except Exception:
             for process in processes:
                 process.kill()
             if owns_directory:
                 shutil.rmtree(directory, ignore_errors=True)
             raise
-        return cls(processes, transports, directory=directory, owns_directory=owns_directory)
+        return cls(
+            processes, directory=directory, owns_directory=owns_directory, timeout=timeout
+        )
 
     # ------------------------------------------------------------------
     # Topology
@@ -1071,41 +977,46 @@ class SocketCluster:
     @property
     def addresses(self) -> List[ServerAddress]:
         """Every server's listen address, in server order."""
-        return [transport.address for transport in self.transports]
+        return [process.address for process in self.processes]
+
+    def _transport(self, index: int) -> AsyncSocketTransport:
+        # Two dial attempts, not the lone-transport default of four: the
+        # cluster has quorum completion and fail-over for dead peers, so
+        # burning backoff per call on a crashed server would only stretch
+        # every round's tail.
+        return self.processes[index].transport(
+            timeout=self.timeout,
+            max_frame_bytes=self.processes[index].max_frame_bytes,
+            connect_retries=2,
+        )
 
     def cluster_transport(
-        self,
-        concurrency: bool = True,
-        max_workers: Optional[int] = None,
-        round_overhead: float = 0.0,
-    ) -> "ClusterTransport":
+        self, round_overhead: float = 0.0, hedge: Any = False
+    ) -> AsyncClusterTransport:
         """The scatter-gather transport over this cluster's socket peers."""
-        from repro.rmi.cluster import ClusterTransport
-
-        return ClusterTransport(
-            servers=self.addresses,
-            transports=self.transports,
-            concurrency=concurrency,
-            max_workers=max_workers,
+        return AsyncClusterTransport(
+            self.addresses,
+            transports=[self._transport(index) for index in range(len(self.processes))],
             round_overhead=round_overhead,
+            hedge=hedge,
         )
 
     # ------------------------------------------------------------------
     # Fault injection and teardown
     # ------------------------------------------------------------------
 
-    def kill_server(self, index: int) -> None:
-        """SIGKILL one server — real, wire-level fault injection."""
+    def _check_index(self, index: int) -> None:
         if not 0 <= index < len(self.processes):
             raise IndexError(
                 "server index %d out of range for %d servers" % (index, len(self.processes))
             )
-        self.processes[index].kill()
-        # Pooled connections to the dead peer would only fail one call
-        # later; drop them now so the very next call sees the crash.
-        self.transports[index].close()
 
-    def spawn_replacement(self, index: int, database: Any) -> SocketTransport:
+    def kill_server(self, index: int) -> None:
+        """SIGKILL one server — real, wire-level fault injection."""
+        self._check_index(index)
+        self.processes[index].kill()
+
+    def spawn_replacement(self, index: int, database: Any) -> AsyncSocketTransport:
         """Boot a fresh server for one slot from a re-derived table (heal path).
 
         Saves ``database`` beside the original slice as
@@ -1113,15 +1024,12 @@ class SocketCluster:
         a healed table can be byte-compared against it), spawns a
         replacement :class:`ServerProcess` with the old child's parameters,
         health-checks it over the wire, then retires whatever is left of
-        the old child and swaps the new process and a fresh transport into
-        this cluster's slot.  Returns the new transport (for
-        :meth:`~repro.rmi.cluster.ClusterTransport.mark_healed`).  A failed
-        boot leaves the slot untouched.
+        the old child and swaps the new process into this cluster's slot.
+        Returns a transport to the new server (for
+        :meth:`~repro.rmi.cluster.ClusterTransportBase.mark_healed`).  A
+        failed boot leaves the slot untouched.
         """
-        if not 0 <= index < len(self.processes):
-            raise IndexError(
-                "server index %d out of range for %d servers" % (index, len(self.processes))
-            )
+        self._check_index(index)
         old = self.processes[index]
         generation = self._generations.get(index, 0) + 1
         directory = self.directory
@@ -1146,30 +1054,21 @@ class SocketCluster:
         try:
             replacement.start()
             replacement.ping()
-            transport = replacement.transport(
-                timeout=self.transports[index].timeout,
-                max_frame_bytes=old.max_frame_bytes,
-                connect_retries=2,
-            )
         except Exception:
             replacement.kill()
             raise
         self._generations[index] = generation
-        # Retire the old child (idempotent against an already-dead one) and
-        # drop its pooled connections before the slot changes hands.
+        # Retire the old child (idempotent against an already-dead one)
+        # before the slot changes hands.
         old.kill()
-        self.transports[index].close()
         self.processes[index] = replacement
-        self.transports[index] = transport
-        return transport
+        return self._transport(index)
 
     def shutdown(self) -> None:
-        """Tear everything down (idempotent): connections, processes, files."""
+        """Tear everything down (idempotent): processes, files."""
         if self._closed:
             return
         self._closed = True
-        for transport in self.transports:
-            transport.close()
         for process in self.processes:
             process.shutdown()
         if self._owns_directory and self.directory is not None:

@@ -1,21 +1,21 @@
-"""Real socket transport: the RMI boundary over TCP or Unix-domain sockets.
+"""The socket wire: framing, addressing and the error taxonomy.
 
-Everything above this module — :class:`~repro.rmi.cluster.ClusterTransport`,
-the :class:`~repro.filters.cluster.ClusterClient`, both query engines and
-the leakage observer — talks to a server through the
-:class:`~repro.rmi.transport.SimulatedTransport` surface (``invoke`` /
-``invoke_detailed`` returning a :class:`~repro.rmi.transport.CallOutcome`).
-:class:`SocketTransport` implements exactly that surface over a real wire,
-so a deployment genuinely spans processes and hosts while the rest of the
-stack runs unmodified.
+The client is :class:`~repro.rmi.aio.AsyncSocketTransport` and the server
+is :class:`~repro.rmi.server.SocketServer`; this module holds what both
+sides of the wire share.
 
 Wire format
 -----------
 
-One call is one *frame* in each direction.  A frame is a 4-byte big-endian
-length prefix followed by that many payload bytes; payloads are produced by
-the existing :class:`~repro.rmi.codec.Codec`, which already enforces that
-only serialisable values cross the boundary.
+A client opens a connection with the 4-byte :data:`MUX_MAGIC` preamble; a
+server closes any connection that opens with anything else, without
+dispatching a byte of it.  After the preamble every call is one *frame* in
+each direction: a 4-byte big-endian request id, a 4-byte big-endian
+payload length, then that many payload bytes.  Any number of calls may be
+in flight on one connection; replies carry their request's id and may come
+back in any order.  Payloads are produced by the
+:class:`~repro.rmi.codec.Codec`, which already enforces that only
+serialisable values cross the boundary.
 
 * request payload — ``codec.encode({"method", "args", "kwargs"})``, byte
   for byte the request the simulated transport encodes, so per-server
@@ -28,7 +28,7 @@ only serialisable values cross the boundary.
   like :meth:`SimulatedTransport.invoke_detailed`.
 
 Frames larger than ``max_frame_bytes`` are rejected *before* the body is
-read — an oversized (or garbage) length prefix must not make the peer
+read — an oversized (or garbage) length field must not make the peer
 allocate gigabytes or stall mid-stream.
 
 Error taxonomy
@@ -48,38 +48,24 @@ are reconstructed as themselves — a cluster replica raising ``LookupError``
 for an unknown ``pre`` behaves identically over the wire and in-process —
 while unknown types degrade to :class:`RemoteCallError`.  A call naming a
 method the server does not export raises :class:`UnknownRemoteMethodError`.
-Every failed call is recorded in :class:`~repro.rmi.stats.CallStats` with
-``error=True``; no failure mode hangs the caller (reads are bounded by the
-per-call timeout).
 """
 
 from __future__ import annotations
 
 import asyncio
-import socket
-import threading
-import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from repro.rmi.codec import Codec, CodecError
-from repro.rmi.stats import CallStats
-from repro.rmi.transport import CallOutcome
+from repro.rmi.codec import CodecError
 from repro.storage.errors import StaleVersionError, WriteConflictError
 
-#: size of the big-endian length prefix in front of every frame
-FRAME_HEADER_BYTES = 4
-
-#: preamble a multiplexing client sends right after connecting.  It doubles
-#: as protocol detection on the server: read as a legacy length prefix it
-#: announces a ~4.28 GB frame, far beyond any sane ``max_frame_bytes``, so
-#: the two framings cannot be confused on the first four bytes.
+#: preamble a client sends right after connecting; a server drops any
+#: connection that opens with other bytes
 MUX_MAGIC = b"\xffMUX"
 
-#: multiplexed frame header: request id (4 bytes BE) + payload length
-#: (4 bytes BE).  The payload bytes themselves are identical to the legacy
-#: framing — and therefore to the simulated transport — so per-server byte
-#: counters match across all three transports.
+#: frame header: request id (4 bytes BE) + payload length (4 bytes BE).
+#: The payload bytes are identical to the simulated transport's, so
+#: per-server byte counters match across both transports.
 MUX_HEADER_BYTES = 8
 
 #: default ceiling on a single frame's payload (requests *and* responses)
@@ -124,8 +110,7 @@ class WireProtocolError(SocketTransportError):
 class OversizedFrameError(WireProtocolError):
     """The peer announced a frame larger than ``max_frame_bytes``.
 
-    On the multiplexed wire the offending frame's request id is known from
-    the header, so the server can still answer *that* call typed before
+    The offending frame's request id is known from the header, so the server can still answer *that* call typed before
     dropping the connection (the body was never read, but the stream
     position after it is unknowable once trust in the peer is gone).
     """
@@ -164,6 +149,7 @@ _WIRE_EXCEPTION_TYPES: Dict[str, type] = {
         RemoteCallError,
         UnknownRemoteMethodError,
         WireProtocolError,
+        OversizedFrameError,
         # The write protocol's semantic failures: a coordinator must see a
         # typed conflict (retry against the new epoch) or stale-version
         # signal (trigger read-repair), not an opaque RemoteCallError.
@@ -197,86 +183,8 @@ def decode_exception(payload: Any) -> BaseException:
 # ----------------------------------------------------------------------
 
 
-def send_frame(sock: socket.socket, payload: bytes, max_frame_bytes: int) -> None:
-    """Write one length-prefixed frame."""
-    if len(payload) > max_frame_bytes:
-        raise WireProtocolError(
-            "frame of %d bytes exceeds the %d-byte limit" % (len(payload), max_frame_bytes)
-        )
-    sock.sendall(len(payload).to_bytes(FRAME_HEADER_BYTES, "big") + payload)
-
-
-def _apply_deadline(sock: socket.socket, deadline: Optional[float]) -> None:
-    """Arm the socket with the time remaining until ``deadline`` (if any)."""
-    if deadline is None:
-        return
-    budget = deadline - time.monotonic()
-    if budget <= 0:
-        raise socket.timeout("frame read deadline exceeded")
-    sock.settimeout(budget)
-
-
-def _recv_exactly(
-    sock: socket.socket, count: int, context: str, deadline: Optional[float] = None
-) -> bytes:
-    """Read exactly ``count`` bytes; EOF mid-read is a truncated frame.
-
-    ``deadline`` (a ``time.monotonic`` instant) bounds the *whole* read:
-    without it, each ``recv`` would get a fresh per-socket timeout and a
-    byte-trickling peer could hold the caller far past the promised bound.
-    """
-    chunks: List[bytes] = []
-    remaining = count
-    while remaining:
-        _apply_deadline(sock, deadline)
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise WireProtocolError(
-                "connection closed with %d of %d %s bytes outstanding"
-                % (remaining, count, context)
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def recv_frame(
-    sock: socket.socket,
-    max_frame_bytes: int,
-    eof_ok: bool = False,
-    deadline: Optional[float] = None,
-) -> Optional[bytes]:
-    """Read one frame; ``None`` on a clean EOF at a frame boundary.
-
-    A peer closing *between* frames is a normal end of session (the server's
-    connection loop relies on it); closing mid-frame, or announcing a body
-    larger than ``max_frame_bytes``, is a :class:`WireProtocolError` —
-    before any oversized body is read, let alone buffered.  ``deadline``
-    bounds the whole frame read (the client passes one per call; the
-    server blocks, relying on connection shutdown to unblock it).
-    """
-    _apply_deadline(sock, deadline)
-    first = sock.recv(1)
-    if not first:
-        if eof_ok:
-            return None
-        raise ServerUnavailable("connection closed before a response frame arrived")
-    header = first + _recv_exactly(sock, FRAME_HEADER_BYTES - 1, "frame header", deadline)
-    size = int.from_bytes(header, "big")
-    if size > max_frame_bytes:
-        raise WireProtocolError(
-            "peer announced a %d-byte frame (limit %d)" % (size, max_frame_bytes)
-        )
-    return _recv_exactly(sock, size, "frame body", deadline)
-
-
-# ----------------------------------------------------------------------
-# Multiplexed framing (asyncio wire)
-# ----------------------------------------------------------------------
-
-
 def pack_mux_frame(call_id: int, payload: bytes, max_frame_bytes: int) -> bytes:
-    """One multiplexed frame: ``id(4 BE) + length(4 BE) + payload``."""
+    """One frame: ``id(4 BE) + length(4 BE) + payload``."""
     if len(payload) > max_frame_bytes:
         raise WireProtocolError(
             "frame of %d bytes exceeds the %d-byte limit" % (len(payload), max_frame_bytes)
@@ -285,7 +193,7 @@ def pack_mux_frame(call_id: int, payload: bytes, max_frame_bytes: int) -> bytes:
         raise WireProtocolError("request id %d does not fit the 4-byte header" % call_id)
     return (
         call_id.to_bytes(4, "big")
-        + len(payload).to_bytes(FRAME_HEADER_BYTES, "big")
+        + len(payload).to_bytes(4, "big")
         + payload
     )
 
@@ -293,7 +201,7 @@ def pack_mux_frame(call_id: int, payload: bytes, max_frame_bytes: int) -> bytes:
 async def read_mux_frame(
     reader: asyncio.StreamReader, max_frame_bytes: int
 ) -> Optional[Tuple[int, bytes]]:
-    """Read one multiplexed frame; ``None`` on clean EOF at a boundary.
+    """Read one frame; ``None`` on clean EOF at a boundary.
 
     A peer closing between frames ends the session normally; closing
     mid-frame is a :class:`WireProtocolError`.  An announced body beyond
@@ -349,23 +257,6 @@ class ServerAddress:
         """Whether this is a Unix-domain socket address."""
         return self.path is not None
 
-    def create_connection(self, timeout: float) -> socket.socket:
-        """Dial the address (one attempt; retries live in the transport)."""
-        if self.is_unix:
-            if not hasattr(socket, "AF_UNIX"):  # pragma: no cover - non-POSIX
-                raise ServerUnavailable("unix sockets are not supported on this platform")
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            try:
-                sock.settimeout(timeout)
-                sock.connect(self.path)
-            except OSError:
-                sock.close()
-                raise
-            return sock
-        sock = socket.create_connection((self.host, self.port), timeout=timeout)
-        sock.settimeout(timeout)
-        return sock
-
     @classmethod
     def coerce(cls, value: "AddressLike") -> "ServerAddress":
         """Accept an address, a ``(host, port)`` pair or a unix path."""
@@ -384,285 +275,3 @@ class ServerAddress:
 
 
 AddressLike = Any  # ServerAddress | (host, port) | unix path
-
-
-# ----------------------------------------------------------------------
-# Client transport
-# ----------------------------------------------------------------------
-
-
-class SocketTransport:
-    """The :class:`SimulatedTransport` surface over one real socket peer.
-
-    ``invoke``/``invoke_detailed`` keep their signatures — the ``target``
-    argument is accepted and ignored, since the remote object lives behind
-    the address — so :class:`~repro.rmi.cluster.ClusterTransport` drives
-    socket servers and in-process servers through identical code.  Latency
-    and byte counts recorded in :attr:`stats` are *measured* (wall-clock
-    round trip, encoded payload sizes), not modeled; ``per_call_latency``
-    is fixed at 0.0 — the only honest lower bound for a measured arrival.
-    The :attr:`measured` flag tells the cluster's quorum gather to admit
-    replies in real completion order instead of trying to prove modeled
-    arrival order from that degenerate bound: results stay deterministic
-    (any k threshold replies reconstruct identically) and first-k reads
-    genuinely return at the k-th arrival.
-
-    Connections are pooled and reused across calls; dialing retries
-    ``connect_retries`` times with exponential backoff, and a pooled
-    connection whose *send* fails is replaced by one fresh dial before the
-    call errors.  A reused connection failing at the *response read* is
-    deliberately not retried: the request may already be executing, and
-    the protocol has stateful endpoints (``open_queue``/``next_node``)
-    where a silent replay would double-execute — so that case surfaces as
-    :class:`ServerUnavailable` for the cluster layer's quorum/fail-over
-    logic to absorb.  Every read is bounded by ``timeout``, so a dead or
-    wedged server surfaces as :class:`ServerUnavailable` instead of a
-    hang.
-    """
-
-    #: latencies are wall-clock measurements — the scatter-gather layer
-    #: admits quorum replies in real completion order for such transports
-    measured = True
-
-    def __init__(
-        self,
-        address: AddressLike,
-        codec: Optional[Codec] = None,
-        stats: Optional[CallStats] = None,
-        timeout: float = DEFAULT_TIMEOUT,
-        connect_retries: int = 4,
-        connect_backoff: float = 0.05,
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        pool_size: int = 4,
-    ):
-        if timeout <= 0:
-            raise ValueError("timeout must be positive")
-        if connect_retries < 1:
-            raise ValueError("connect_retries must be at least 1")
-        if max_frame_bytes < 1:
-            raise ValueError("max_frame_bytes must be positive")
-        self.address = ServerAddress.coerce(address)
-        self.codec = codec or Codec()
-        self.stats = stats or CallStats()
-        self.timeout = timeout
-        self.connect_retries = connect_retries
-        self.connect_backoff = connect_backoff
-        self.max_frame_bytes = max_frame_bytes
-        #: lower bound of any call's latency, read by the quorum gather's
-        #: admission ordering; a measured transport can promise nothing, so
-        #: zero — which makes first-k reads await all in-flight replies
-        #: (see the class docstring)
-        self.per_call_latency = 0.0
-        self.per_byte_latency = 0.0
-        self._pool_size = pool_size
-        self._idle: List[socket.socket] = []
-        self._lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    # Connection pool
-    # ------------------------------------------------------------------
-
-    def _dial(self) -> socket.socket:
-        """One fresh connection, retrying with exponential backoff."""
-        delay = self.connect_backoff
-        last_error: Optional[OSError] = None
-        for attempt in range(self.connect_retries):
-            try:
-                return self.address.create_connection(self.timeout)
-            except OSError as exc:
-                last_error = exc
-                if attempt + 1 < self.connect_retries:
-                    time.sleep(delay)
-                    delay *= 2
-        raise ServerUnavailable(
-            "cannot connect to %s after %d attempts: %s"
-            % (self.address, self.connect_retries, last_error)
-        )
-
-    def _checkout(self) -> Tuple[socket.socket, bool]:
-        """A connection plus whether it came from the idle pool (reused)."""
-        with self._lock:
-            if self._idle:
-                return self._idle.pop(), True
-        return self._dial(), False
-
-    def _checkin(self, sock: socket.socket) -> None:
-        # Deadline-gated reads shrink the socket's timeout as a call runs;
-        # restore the full per-call budget before the connection is reused.
-        try:
-            sock.settimeout(self.timeout)
-        except OSError:  # pragma: no cover - socket died at checkin
-            _close_quietly(sock)
-            return
-        with self._lock:
-            if len(self._idle) < self._pool_size:
-                self._idle.append(sock)
-                return
-        _close_quietly(sock)
-
-    def close(self) -> None:
-        """Close every pooled connection (idempotent; the transport stays
-        usable — the next call simply dials afresh)."""
-        with self._lock:
-            idle, self._idle = self._idle, []
-        for sock in idle:
-            _close_quietly(sock)
-
-    def __enter__(self) -> "SocketTransport":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # Invocation
-    # ------------------------------------------------------------------
-
-    def _roundtrip(self, request: bytes) -> "Tuple[bytes, socket.socket]":
-        """Ship one request frame, return the raw response payload and the
-        connection it arrived on (the caller decides whether to pool it).
-
-        A send failure on a *reused* connection is retried once on a fresh
-        dial (the pooled peer may simply have closed an idle connection);
-        any failure after the request reached a fresh connection — and any
-        failure while reading the response — raises without retrying, since
-        the server may already be executing the call.
-        """
-        if len(request) > self.max_frame_bytes:
-            # Checked before dialing: an oversized request is a protocol
-            # violation regardless of whether the peer is reachable.
-            raise WireProtocolError(
-                "frame of %d bytes exceeds the %d-byte limit"
-                % (len(request), self.max_frame_bytes)
-            )
-        sock, reused = self._checkout()
-        try:
-            send_frame(sock, request, self.max_frame_bytes)
-        except OSError as exc:
-            _close_quietly(sock)
-            if not reused:
-                raise ServerUnavailable(
-                    "send to %s failed: %s" % (self.address, exc)
-                ) from exc
-            sock = self._dial()
-            try:
-                send_frame(sock, request, self.max_frame_bytes)
-            except OSError as retry_exc:
-                _close_quietly(sock)
-                raise ServerUnavailable(
-                    "send to %s failed after reconnect: %s" % (self.address, retry_exc)
-                ) from retry_exc
-        try:
-            payload = recv_frame(
-                sock,
-                self.max_frame_bytes,
-                deadline=time.monotonic() + self.timeout,
-            )
-        except SocketTransportError:
-            # Our own typed failures (truncated/oversized frame, clean EOF)
-            # are ConnectionError — and therefore OSError — subclasses:
-            # re-raise before the generic handlers can re-wrap them.
-            _close_quietly(sock)
-            raise
-        except socket.timeout as exc:
-            _close_quietly(sock)
-            raise ServerUnavailable(
-                "no response from %s within %.1fs" % (self.address, self.timeout)
-            ) from exc
-        except OSError as exc:
-            _close_quietly(sock)
-            raise ServerUnavailable(
-                "connection to %s lost mid-call: %s" % (self.address, exc)
-            ) from exc
-        assert payload is not None  # eof_ok=False: clean EOF raised above
-        return payload, sock
-
-    def invoke_detailed(
-        self,
-        target: Any,
-        method: str,
-        args: Tuple[Any, ...] = (),
-        kwargs: Optional[Dict[str, Any]] = None,
-    ) -> CallOutcome:
-        """One remote call with its error and *measured* cost captured.
-
-        ``target`` is ignored (the peer is fixed by the address); request
-        encoding failures — a caller-side bug — raise directly, exactly
-        like the simulated transport.  Everything else, including
-        connection loss and protocol violations, lands in the returned
-        :class:`CallOutcome` and is recorded in :attr:`stats` with
-        ``error=True``.
-        """
-        kwargs = kwargs or {}
-        request = self.codec.encode({"method": method, "args": list(args), "kwargs": kwargs})
-        value: Any = None
-        error: Optional[BaseException] = None
-        response_bytes = 0
-        request_bytes = len(request)
-        start = time.perf_counter()
-        sock: Optional[socket.socket] = None
-        try:
-            payload, sock = self._roundtrip(request)
-        except SocketTransportError as exc:
-            error = exc
-        else:
-            status, body = payload[:1], payload[1:]
-            if status == STATUS_OK:
-                try:
-                    value = self.codec.decode(body)
-                    response_bytes = len(body)
-                except CodecError as exc:
-                    error = WireProtocolError("undecodable response payload: %s" % exc)
-            elif status == STATUS_ERROR:
-                try:
-                    error = decode_exception(self.codec.decode(body))
-                except CodecError as exc:
-                    error = WireProtocolError("undecodable error payload: %s" % exc)
-            else:
-                error = WireProtocolError("unknown response status byte %r" % status)
-        if sock is not None:
-            if isinstance(error, WireProtocolError):
-                # A framing violation — reported by either side — leaves the
-                # connection's sync suspect (the server drops its end after
-                # an oversized request); never pool it.
-                _close_quietly(sock)
-            else:
-                self._checkin(sock)
-        latency = time.perf_counter() - start
-        self.stats.record(
-            method, request_bytes, response_bytes, latency, error=error is not None
-        )
-        return CallOutcome(
-            value=value,
-            error=error,
-            latency=latency,
-            request_bytes=request_bytes,
-            response_bytes=response_bytes,
-        )
-
-    def invoke(
-        self,
-        target: Any,
-        method: str,
-        args: Tuple[Any, ...] = (),
-        kwargs: Optional[Dict[str, Any]] = None,
-    ) -> Any:
-        """Perform one remote call; failures raise (but are still recorded)."""
-        outcome = self.invoke_detailed(target, method, args, kwargs)
-        if outcome.error is not None:
-            raise outcome.error
-        return outcome.value
-
-    def ping(self) -> Dict[str, Any]:
-        """The health-check handshake: the server's identity dictionary."""
-        return self.invoke(None, PING_METHOD)
-
-    def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        return "SocketTransport(%s)" % self.address
-
-
-def _close_quietly(sock: socket.socket) -> None:
-    try:
-        sock.close()
-    except OSError:  # pragma: no cover - close never fails on CPython
-        pass

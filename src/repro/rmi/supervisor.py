@@ -6,8 +6,8 @@ share reads raise :class:`~repro.filters.cluster.InconsistentShareError`
 ``ConnectionError`` s — but nothing *acts* on it: a corrupt server keeps
 poisoning every read it lands in, and a crashed one stays dead until the
 operator re-encodes the document.  The :class:`FleetSupervisor` closes that
-loop over any :class:`~repro.rmi.cluster.ClusterTransport` (simulated or
-socket-backed):
+loop over either cluster transport (simulated or socket-backed, see
+:class:`~repro.rmi.cluster.ClusterTransportBase`):
 
 1. **Observe** — feed it the attribution verdicts of inconsistency errors
    (:meth:`~FleetSupervisor.observe_inconsistency`) and run periodic
@@ -15,7 +15,7 @@ socket-backed):
    corruption votes, unavailability streaks and ping failures against
    configurable thresholds.
 2. **Quarantine** — a server past any threshold is routed around via
-   :meth:`~repro.rmi.cluster.ClusterTransport.mark_quarantined` — but only
+   :meth:`~repro.rmi.cluster.ClusterTransportBase.mark_quarantined` — but only
    while the remaining fleet still satisfies the scheme's quorum, so the
    supervisor never quarantines itself out of availability.
 3. **Heal** — the quarantined server's table is re-derived *without
@@ -102,7 +102,7 @@ class FleetSupervisor:
     """Quarantines unhealthy share servers and heals them back to strength.
 
     ``transport`` is the fleet's :class:`~repro.rmi.cluster.ClusterTransport`
-    (or the asyncio variant's sync surface); ``scheme`` the deployment's
+    or :class:`~repro.rmi.aio.AsyncClusterTransport`; ``scheme`` the deployment's
     sharing scheme.  ``cluster`` optionally names the backing
     :class:`~repro.rmi.server.SocketCluster` — with it, heals spawn real
     replacement subprocesses; without it (simulated fleets), heals swap a
@@ -203,9 +203,9 @@ class FleetSupervisor:
     def ping_sweep(self) -> Dict[int, bool]:
         """Health-check every non-quarantined server; quarantine repeat offenders.
 
-        Socket-backed per-server transports answer a real ``__ping__``
-        handshake; simulated targets answer the cheapest structural read.
-        Returns ``{index: healthy}`` for the swept servers.
+        Every server answers the cheapest structural read, over whichever
+        transport the fleet runs.  Returns ``{index: healthy}`` for the
+        swept servers.
         """
         results: Dict[int, bool] = {}
         for index in range(self.transport.num_servers):
@@ -213,12 +213,7 @@ class FleetSupervisor:
             if record.quarantined:
                 continue
             try:
-                per_server = self.transport.transports[index]
-                ping = getattr(per_server, "ping", None)
-                if ping is not None:
-                    ping()
-                else:
-                    self.transport.invoke(index, "node_count", ())
+                self.transport.invoke(index, "node_count", ())
             except (ConnectionError, OSError, RuntimeError):
                 record.ping_failures += 1
                 record.unavailable_streak += 1

@@ -124,13 +124,9 @@ class TestBulkEndpointEquivalence:
         with pytest.raises(LookupError):
             server.evaluate_batch([1, 999], 5)
 
-    def test_evaluate_many_is_an_alias(self, server):
-        assert server.evaluate_many([1, 2], 5) == server.evaluate_batch([1, 2], 5)
-
     def test_fetch_shares_batch_matches_singles(self, server):
         pres = [1, 2, 1, 6]
         assert server.fetch_shares_batch(pres) == [server.fetch_share(pre) for pre in pres]
-        assert server.fetch_shares(pres) == server.fetch_shares_batch(pres)
 
     def test_fetch_shares_batch_unknown_pre_raises_like_single(self, server):
         with pytest.raises(LookupError):

@@ -165,12 +165,13 @@ class TestConfigValidation:
     def test_conflicts_raise_typed_config_errors(self):
         conflicting = [
             DatabaseConfig(transport=TransportConfig(transport="bogus")),
+            DatabaseConfig(transport=TransportConfig(transport="socket")),
             DatabaseConfig(
                 cluster=ClusterConfig(cluster=False),
-                transport=TransportConfig(transport="socket"),
+                transport=TransportConfig(transport="asyncio"),
             ),
             DatabaseConfig(
-                transport=TransportConfig(transport="socket", per_call_latency=0.1)
+                transport=TransportConfig(transport="asyncio", per_call_latency=0.1)
             ),
             DatabaseConfig(
                 transport=TransportConfig(transport="asyncio", concurrency=False)
@@ -235,10 +236,8 @@ class TestMethodSpecTable:
         (
             "evaluate",
             "evaluate_batch",
-            "evaluate_many",
             "fetch_share",
             "fetch_shares_batch",
-            "fetch_shares",
         )
     )
     OLD_QUEUE = frozenset(
@@ -254,16 +253,10 @@ class TestMethodSpecTable:
     OLD_QUEUE_OPEN = frozenset(
         ("open_queue", "open_children_queue", "open_descendants_queue")
     )
-    OLD_ALIASES = {
-        "evaluate_many": "evaluate_batch",
-        "fetch_shares": "fetch_shares_batch",
-    }
     OLD_BATCH_ARG = frozenset(
         (
             "evaluate_batch",
-            "evaluate_many",
             "fetch_shares_batch",
-            "fetch_shares",
             "node_infos",
             "children_of_many",
             "descendants_of_many",
@@ -279,7 +272,6 @@ class TestMethodSpecTable:
         assert method_table.QUEUE_METHODS == self.OLD_QUEUE
         assert method_table.QUEUE_OPEN_METHODS == self.OLD_QUEUE_OPEN
         assert method_table.CACHEABLE_METHODS == self.OLD_STRUCTURAL | self.OLD_SHARE
-        assert method_table.CACHE_KEY_ALIASES == self.OLD_ALIASES
         assert self.OLD_BATCH_ARG <= method_table.BATCH_ARG_METHODS
         assert (
             method_table.GATEWAY_EXPORTED_METHODS
@@ -287,11 +279,10 @@ class TestMethodSpecTable:
         )
 
     def test_gateway_and_cache_import_from_the_table(self):
-        from repro.rmi.cache import CACHE_KEY_ALIASES, CACHEABLE_METHODS
+        from repro.rmi.cache import CACHEABLE_METHODS
         from repro.rmi.gateway import EXPORTED_METHODS
 
         assert CACHEABLE_METHODS is method_table.CACHEABLE_METHODS
-        assert CACHE_KEY_ALIASES is method_table.CACHE_KEY_ALIASES
         assert EXPORTED_METHODS is method_table.GATEWAY_EXPORTED_METHODS
 
     def test_write_methods_are_not_gateway_exported(self):
@@ -305,8 +296,6 @@ class TestMethodSpecTable:
         assert len(names) == len(set(names))
         assert set(names) == set(method_table.SPECS_BY_NAME)
         for spec in method_table.METHOD_SPECS:
-            if spec.alias_of is not None:
-                assert spec.alias_of in method_table.SPECS_BY_NAME
             assert not (spec.cacheable and spec.mutating)
 
     def test_request_cost_matches_the_old_behaviour(self):

@@ -77,8 +77,8 @@ class TestServerFilter:
 
     def test_batch_variants(self, setup):
         server = setup[0]
-        assert server.evaluate_many([1, 2], 5) == [server.evaluate(1, 5), server.evaluate(2, 5)]
-        assert server.fetch_shares([1, 2]) == [server.fetch_share(1), server.fetch_share(2)]
+        assert server.evaluate_batch([1, 2], 5) == [server.evaluate(1, 5), server.evaluate(2, 5)]
+        assert server.fetch_shares_batch([1, 2]) == [server.fetch_share(1), server.fetch_share(2)]
 
     def test_queue_pipeline(self, setup):
         server = setup[0]

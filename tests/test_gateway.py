@@ -2,7 +2,7 @@
 
 The in-process tests start a real three-server fleet (each an asyncio
 ``SocketServer`` hosting a ``ServerFilter`` shard) and a real ``Gateway``
-in front of it, then drive it through plain ``SocketTransport`` client
+in front of it, then drive it through ``GatewayEndpoint`` client
 connections — so session isolation, disconnect cleanup and the graceful
 ``__shutdown__`` drain are exercised over actual sockets on one event
 loop.  One subprocess test runs the full ``repro-gateway`` daemon (READY
@@ -32,7 +32,7 @@ from repro.rmi.aio import AsyncClusterTransport
 from repro.rmi.cluster import ClusterTransport
 from repro.rmi.gateway import Gateway, GatewayEndpoint, GatewayProcess
 from repro.rmi.server import SocketCluster, SocketServer
-from repro.rmi.socket import SocketTransport, UnknownRemoteMethodError
+from repro.rmi.socket import UnknownRemoteMethodError
 
 XML = (
     "<site>"
@@ -70,7 +70,7 @@ def stack():
 
 def _endpoint(gateway, **kwargs):
     kwargs.setdefault("timeout", 10.0)
-    return GatewayEndpoint(SocketTransport(gateway.address, **kwargs))
+    return GatewayEndpoint(gateway.address, **kwargs)
 
 
 def _reference_client(deployment):
@@ -143,7 +143,7 @@ def test_unknown_and_private_methods_are_rejected_typed(stack):
         with pytest.raises(UnknownRemoteMethodError, match="exports no method"):
             endpoint.bogus_method()
         with pytest.raises(UnknownRemoteMethodError):
-            endpoint.transport.invoke(None, "_acall_any", ("node_count", ()))
+            endpoint.transport.invoke(0, "_acall_any", ("node_count", ()))
         # the rejection executed nothing and broke nothing
         assert endpoint.node_count() > 0
     finally:
@@ -155,7 +155,7 @@ def test_keyword_arguments_are_rejected_typed(stack):
     endpoint = _endpoint(gateway)
     try:
         with pytest.raises(TypeError, match="positional"):
-            endpoint.transport.invoke(None, "node_info", (), {"pre": 1})
+            endpoint.transport.invoke(0, "node_info", (), {"pre": 1})
     finally:
         endpoint.close()
 
@@ -235,7 +235,7 @@ def test_shutdown_drains_inflight_calls_of_other_sessions(stack):
     try:
         worker.start()
         time.sleep(0.15)  # the slow call is now in flight upstream
-        assert b.transport.invoke(None, "__shutdown__") is True
+        assert b.transport.invoke(0, "__shutdown__") is True
         worker.join(timeout=10.0)
         assert not worker.is_alive()
         assert slow_result["value"] > 0  # answered, not cut off

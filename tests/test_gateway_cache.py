@@ -30,7 +30,6 @@ from repro.rmi.aio import AsyncClusterTransport
 from repro.rmi.cluster import ClusterTransport
 from repro.rmi.gateway import Gateway, GatewayEndpoint, GatewayProcess
 from repro.rmi.server import SocketCluster, SocketServer
-from repro.rmi.socket import SocketTransport
 
 XML = (
     "<site>"
@@ -81,7 +80,7 @@ class _Stack:
 
     def endpoint(self, **kwargs):
         kwargs.setdefault("timeout", 15.0)
-        return GatewayEndpoint(SocketTransport(self.gateway.address, **kwargs))
+        return GatewayEndpoint(self.gateway.address, **kwargs)
 
     def close(self):
         self.gateway.close()

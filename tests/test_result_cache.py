@@ -54,16 +54,6 @@ def test_canonical_args_collapses_wire_equivalent_forms():
     assert canonical_args(({1, 2},)) is None
 
 
-def test_cache_key_aliases_share_one_entry():
-    cache = GatewayCache(1 << 20)
-    cache.store("fetch_shares_batch", ([1, 2],), [[7], [8]])
-    found, value = cache.lookup("fetch_shares", ((1, 2),))
-    assert found and value == [[7], [8]]
-    cache.store("evaluate_batch", ([1, 2], 5), [3, 4])
-    found, value = cache.lookup("evaluate_many", ([1, 2], 5))
-    assert found and value == [3, 4]
-
-
 def test_queue_cursor_methods_are_not_cacheable():
     for method in ("open_queue", "open_children_queue", "open_descendants_queue",
                    "next_node", "queue_size", "close_queue"):

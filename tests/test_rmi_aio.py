@@ -9,7 +9,7 @@ burst served over one connection without growing any thread pool.
 
 The subprocess gateway built on this wire is covered by
 ``tests/test_gateway.py``; differential byte-identity against the
-threaded transport by ``benchmarks/bench_gateway_load.py``.
+simulated transport by ``benchmarks/bench_gateway_load.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.rmi.aio import (
     AsyncSocketTransport,
     LoopThread,
 )
-from repro.rmi.cluster import InjectedFaultError, ServerDownError
+from repro.rmi.cluster import ClusterTransportBase, InjectedFaultError, ServerDownError
 from repro.rmi.codec import Codec
 from repro.rmi.server import SocketServer
 from repro.rmi.socket import (
@@ -35,10 +35,10 @@ from repro.rmi.socket import (
     STATUS_OK,
     ServerAddress,
     ServerUnavailable,
-    SocketTransport,
     WireProtocolError,
 )
 from repro.rmi.stats import QuantileSketch
+from repro.rmi.transport import SimulatedTransport
 
 
 class Arithmetic:
@@ -133,8 +133,8 @@ class RogueMuxServer:
 # ----------------------------------------------------------------------
 
 
-def test_pipelined_roundtrip_and_byte_parity_with_threaded_transport(server):
-    """Same payload bytes as the threaded transport, so identical counters."""
+def test_pipelined_roundtrip_and_byte_parity_with_simulated_transport(server):
+    """Same payload bytes as the simulated transport, so identical counters."""
 
     async def scenario():
         transport = AsyncSocketTransport(server.address, timeout=5.0)
@@ -148,15 +148,12 @@ def test_pipelined_roundtrip_and_byte_parity_with_threaded_transport(server):
             await transport.aclose()
 
     aio_stats = run(scenario())
-    threaded = SocketTransport(server.address, timeout=5.0)
-    try:
-        for i in range(8):
-            assert threaded.invoke(None, "add", (i, i)) == 2 * i
-    finally:
-        threaded.close()
-    assert aio_stats.calls == threaded.stats.calls == 8
-    assert aio_stats.bytes_sent == threaded.stats.bytes_sent
-    assert aio_stats.bytes_received == threaded.stats.bytes_received
+    simulated = SimulatedTransport()
+    for i in range(8):
+        assert simulated.invoke(Arithmetic(), "add", (i, i)) == 2 * i
+    assert aio_stats.calls == simulated.stats.calls == 8
+    assert aio_stats.bytes_sent == simulated.stats.bytes_sent
+    assert aio_stats.bytes_received == simulated.stats.bytes_received
 
 
 def test_server_side_errors_cross_the_wire_typed(server):
@@ -470,6 +467,30 @@ def test_cluster_fault_injection_and_down_marking(trio):
         # both failures were recorded against their servers
         assert cluster.stats_of(0).errors == 1
         assert cluster.stats_of(1).errors == 1
+    finally:
+        cluster.close()
+
+
+def test_quarantine_and_heal_swap_the_connection_and_keep_the_counters(trio):
+    """The supervisor hooks of the shared fleet-state core: a heal swaps in
+    a replacement connection that inherits the old counters, retires the
+    old connection and ticks the quarantine/heal counters."""
+    cluster = _cluster(trio)
+    try:
+        assert cluster.invoke(2, "add", (1, 1)) == 2
+        cluster.mark_quarantined(2)
+        assert cluster.is_down(2)
+        old = cluster.transports[2]
+        replacement = AsyncSocketTransport(trio[2].address, timeout=5.0)
+        cluster.mark_healed(2, transport=replacement, server=trio[2].address)
+        assert cluster.transports[2] is replacement
+        assert old._writer is None  # the old connection was closed
+        assert not cluster.is_down(2)
+        assert cluster.invoke(2, "add", (2, 2)) == 4
+        stats = cluster.stats_of(2)
+        assert stats.calls == 2  # the old connection's call carried over
+        assert (stats.quarantines, stats.heals) == (1, 1)
+        assert isinstance(cluster, ClusterTransportBase)
     finally:
         cluster.close()
 

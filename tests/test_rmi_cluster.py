@@ -74,6 +74,30 @@ class TestClusterInvocation:
         with pytest.raises(ValueError):
             ClusterTransport([])
 
+    def test_every_call_runs_in_the_callers_thread(self):
+        """No scatter pool: a round's calls execute one after the other on
+        the calling thread, in target order, whatever ``concurrency`` says."""
+        seen = []
+
+        class _Recorder:
+            def __init__(self, tag):
+                self.tag = tag
+
+            def whoami(self):
+                seen.append((self.tag, threading.current_thread()))
+                return self.tag
+
+        for concurrency in (True, False):
+            seen.clear()
+            cluster = ClusterTransport(
+                [_Recorder(i) for i in range(4)], concurrency=concurrency
+            )
+            cluster.invoke_all("whoami")
+            cluster.invoke_quorum("whoami", k=2)
+            caller = threading.current_thread()
+            assert [tag for tag, _ in seen] == [0, 1, 2, 3] * 2
+            assert all(thread is caller for _, thread in seen)
+
 
 class TestFaultInjection:
     def test_down_server_raises_and_records_error(self):
@@ -336,16 +360,13 @@ class TestInvokeQuorum:
         stats = cluster.stats_of(2)
         assert stats.calls == 2 and stats.errors == 1
 
-    def test_close_releases_the_pool_and_stays_usable(self):
+    def test_close_is_idempotent_and_keeps_the_transport_usable(self):
         cluster = self._quorum_cluster([1.0, 2.0, 3.0])
         assert cluster.invoke_quorum("whoami", k=1)[0].value == 0
-        assert cluster._executor is not None
         cluster.close()
-        assert cluster._executor is None
-        # the pool comes back lazily; the transport keeps working
+        cluster.close()
         replies = cluster.invoke_all("whoami")
         assert [reply.value for reply in replies] == [0, 1, 2]
-        cluster.close()
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -2,8 +2,8 @@
 
 These tests spawn real ``python -m repro.cli server`` child processes
 (the ``repro-server`` daemon) and drive them through the unmodified
-cluster stack — the CI ``socket-integration`` job runs exactly this file
-plus ``tests/test_rmi_socket.py`` on the py3.9/py3.12 matrix.  The
+cluster stack — the CI ``socket-integration`` job runs this file plus
+``tests/test_rmi_socket.py`` on the py3.9/py3.12 matrix.  The
 heavyweight differential assertions (byte-identical results, shares and
 per-server counters vs the simulated transport, including with a killed
 server) live in ``benchmarks/bench_socket_transport.py``; here the focus
@@ -20,9 +20,9 @@ import pytest
 from repro.core.database import EncryptedXMLDatabase, QueryConfigError
 from repro.encode.encoder import Encoder
 from repro.encode.tagmap import TagMap
-from repro.rmi.cluster import ClusterTransport
+from repro.rmi.aio import AsyncClusterTransport
 from repro.rmi.server import ServerProcess, SocketCluster
-from repro.rmi.socket import ServerUnavailable, SocketTransport
+from repro.rmi.socket import ServerUnavailable
 from repro.rmi.transport import SimulatedTransport
 from repro.storage.database import Database
 from repro.xmldoc.dtd import XMARK_DTD
@@ -59,6 +59,11 @@ def _deployment(servers=3, threshold=2, sharing="shamir"):
     )
 
 
+def _client(address, **kwargs):
+    """A sync client of one server: the one-server cluster transport."""
+    return AsyncClusterTransport([address], **kwargs)
+
+
 @pytest.fixture(scope="module")
 def shamir_cluster():
     deployment = _deployment()
@@ -82,17 +87,17 @@ def test_server_process_handshake_and_protocol(tmp_path):
         identity = process.ping()
         assert identity["target"] == "ServerFilter"
         assert identity["pid"] == process.pid
-        transport = process.transport(timeout=5.0)
+        transport = _client(process.address, timeout=5.0)
         try:
-            count = transport.invoke(None, "node_count")
+            count = transport.invoke(0, "node_count")
             assert count == len(deployment.node_table)
-            root = transport.invoke(None, "root_pre")
-            infos = transport.invoke(None, "node_infos", ([root],))
+            root = transport.invoke(0, "root_pre")
+            infos = transport.invoke(0, "node_infos", ([root],))
             assert infos[0]["pre"] == root
-            shares = transport.invoke(None, "fetch_shares_batch", ([root],))
+            shares = transport.invoke(0, "fetch_shares_batch", ([root],))
             assert shares == [list(deployment.node_table.lookup("pre", root)[0]["share"])]
             with pytest.raises(LookupError):
-                transport.invoke(None, "fetch_share", (10**6,))
+                transport.invoke(0, "fetch_share", (10**6,))
         finally:
             transport.close()
     assert not process.is_alive()
@@ -110,13 +115,13 @@ def test_server_process_kill_is_a_real_crash(tmp_path):
     process = ServerProcess(path, p=field.characteristic, e=field.degree)
     process.start()
     try:
-        transport = process.transport(timeout=2.0, connect_retries=1)
-        assert transport.invoke(None, "node_count") > 0
+        transport = _client(process.address, timeout=2.0, connect_retries=1)
+        assert transport.invoke(0, "node_count") > 0
         process.kill()
         assert not process.is_alive()
-        outcome = transport.invoke_detailed(None, "node_count")
-        assert isinstance(outcome.error, ServerUnavailable)
-        assert transport.stats.errors == 1
+        (reply,) = transport.invoke_all("node_count")
+        assert isinstance(reply.error, ServerUnavailable)
+        assert transport.stats_of(0).errors == 1
         transport.close()
     finally:
         process.kill()
@@ -155,11 +160,11 @@ def test_server_process_frame_limit_is_plumbed_to_the_child(tmp_path):
     with ServerProcess(
         path, p=field.characteristic, e=field.degree, max_frame_bytes=256
     ) as process:
-        transport = process.transport(timeout=5.0)  # client keeps the default
+        transport = _client(process.address, timeout=5.0)  # client keeps the default
         try:
             with pytest.raises(WireProtocolError):
-                transport.invoke(None, "node_infos", (list(range(500)),))
-            assert transport.invoke(None, "node_count") > 0  # still serving
+                transport.invoke(0, "node_infos", (list(range(500)),))
+            assert transport.invoke(0, "node_count") > 0  # still serving
         finally:
             transport.close()
 
@@ -214,20 +219,24 @@ def test_cluster_transport_scatter_gather(shamir_cluster):
         transport.close()
 
 
-def test_cluster_transport_rejects_latency_model_over_real_transports(shamir_cluster):
+def test_cluster_transport_is_the_async_wire_over_the_addresses(shamir_cluster):
     _, cluster = shamir_cluster
-    with pytest.raises(ValueError, match="latency-model"):
-        ClusterTransport(
-            servers=cluster.addresses,
-            transports=cluster.transports,
-            per_call_latency=1.0,
-        )
-    with pytest.raises(ValueError, match="transports"):
-        ClusterTransport(servers=["only-one"], transports=cluster.transports)
+    transport = cluster.cluster_transport(round_overhead=0.5)
+    try:
+        assert isinstance(transport, AsyncClusterTransport)
+        assert transport.servers == cluster.addresses
+        assert [t.address for t in transport.transports] == cluster.addresses
+        assert all(t.timeout == cluster.timeout for t in transport.transports)
+        assert all(t.connect_retries == 2 for t in transport.transports)
+        assert transport.round_overhead == 0.5
+        # every call hands out fresh connections: no shared client state
+        assert cluster.cluster_transport().transports[0] is not transport.transports[0]
+    finally:
+        transport.close()
 
 
 # ----------------------------------------------------------------------
-# Facade: transport="socket"
+# Facade: transport="asyncio"
 # ----------------------------------------------------------------------
 
 
@@ -247,7 +256,7 @@ def _build(transport_mode, **kwargs):
 
 def test_facade_socket_deployment_matches_simulated():
     simulated = _build("simulated")
-    with _build("socket") as database:
+    with _build("asyncio") as database:
         assert database.is_cluster and database.num_servers == 3
         assert database.socket_cluster is not None
         assert database.server_filter is None  # shards live out of process
@@ -265,7 +274,7 @@ def test_facade_socket_deployment_matches_simulated():
 
 
 def test_facade_socket_survives_a_killed_server():
-    with _build("socket") as database:
+    with _build("asyncio") as database:
         before = [database.query(q, engine=e, strict=s).matches for q, e, s in QUERIES]
         database.socket_cluster.kill_server(2)
         after = [database.query(q, engine=e, strict=s).matches for q, e, s in QUERIES]
@@ -276,15 +285,17 @@ def test_facade_socket_survives_a_killed_server():
 
 def test_facade_socket_rejects_modeled_latency_knobs():
     with pytest.raises(QueryConfigError, match="measures latency"):
-        _build("socket", per_call_latency=1.0)
+        _build("asyncio", per_call_latency=1.0)
     with pytest.raises(QueryConfigError, match="measures latency"):
-        _build("socket", latency_jitter=0.5)
-    with pytest.raises(QueryConfigError, match="measures latency"):
-        _build("socket", hedge=True)
+        _build("asyncio", latency_jitter=0.5)
+    with pytest.raises(QueryConfigError, match="inherently concurrent"):
+        _build("asyncio", concurrency=False)
     with pytest.raises(QueryConfigError, match="cluster=False"):
-        _build("socket", cluster=False)
+        _build("asyncio", cluster=False)
     with pytest.raises(QueryConfigError, match="unknown transport"):
         _build("carrier-pigeon")
+    with pytest.raises(QueryConfigError, match="unknown transport"):
+        _build("socket")
 
 
 def test_facade_socket_cleans_up_on_construction_failure():
@@ -299,7 +310,7 @@ def test_facade_socket_cleans_up_on_construction_failure():
     SocketCluster.from_deployment = classmethod(tracking)
     try:
         with pytest.raises(Exception):
-            _build("socket", read_quorum=99)  # invalid: rejected by the client
+            _build("asyncio", read_quorum=99)  # invalid: rejected by the client
     finally:
         SocketCluster.from_deployment = classmethod(original)
     assert len(clusters) == 1
@@ -332,8 +343,13 @@ def test_sigkilled_then_healed_slot_tears_down_cleanly():
     cluster = SocketCluster.from_deployment(deployment)
     try:
         cluster.kill_server(1)
-        transport = cluster.spawn_replacement(1, deployment.databases[1])
-        assert transport.invoke(None, "node_count") == len(deployment.node_table)
+        replacement = cluster.spawn_replacement(1, deployment.databases[1])
+        assert replacement.address == cluster.addresses[1]
+        transport = AsyncClusterTransport([replacement.address], transports=[replacement])
+        try:
+            assert transport.invoke(0, "node_count") == len(deployment.node_table)
+        finally:
+            transport.close()
         assert cluster.processes[1].is_alive()
         assert "gen1" in cluster.processes[1].name
     finally:
@@ -346,16 +362,24 @@ def test_chaos_flag_gates_the_wire_fault_injector():
     from repro.rmi.socket import UnknownRemoteMethodError
 
     deployment = _deployment()
+    root = deployment.node_table.lookup("parent", 0)[0]["pre"]
     with SocketCluster.from_deployment(deployment, chaos=True) as cluster:
-        root = deployment.node_table.lookup("parent", 0)[0]["pre"]
-        clean = cluster.transports[0].invoke(None, "fetch_share", (root,))
-        corrupted = cluster.transports[0].invoke(None, "corrupt_share", (root, 7))
-        assert corrupted != clean
-        assert cluster.transports[0].invoke(None, "fetch_share", (root,)) == corrupted
+        transport = cluster.cluster_transport()
+        try:
+            clean = transport.invoke(0, "fetch_share", (root,))
+            corrupted = transport.invoke(0, "corrupt_share", (root, 7))
+            assert corrupted != clean
+            assert transport.invoke(0, "fetch_share", (root,)) == corrupted
+        finally:
+            transport.close()
     # without --chaos the injector is not exported
     with SocketCluster.from_deployment(deployment) as cluster:
-        with pytest.raises(UnknownRemoteMethodError):
-            cluster.transports[0].invoke(None, "corrupt_share", (root, 7))
+        transport = cluster.cluster_transport()
+        try:
+            with pytest.raises(UnknownRemoteMethodError):
+                transport.invoke(0, "corrupt_share", (root, 7))
+        finally:
+            transport.close()
 
 
 def test_supervisor_heals_a_corrupted_socket_server_byte_identically():
@@ -375,7 +399,7 @@ def test_supervisor_heals_a_corrupted_socket_server_byte_identically():
             # corrupt every row of server 2 in subprocess memory; the
             # on-disk slice file stays pristine for the byte comparison
             for pre in [root] + client.descendants_of(root):
-                cluster.transports[2].invoke(None, "corrupt_share", (pre, 11))
+                transport.invoke(2, "corrupt_share", (pre, 11))
             with pytest.raises(InconsistentShareError) as excinfo:
                 client.fetch_share(root)
             assert excinfo.value.suspects == (2,)
@@ -406,7 +430,7 @@ def test_socket_and_simulated_transport_byte_parity(shamir_cluster):
 
     local = ServerFilter(deployment.node_tables[0], deployment.ring)
     simulated = SimulatedTransport()
-    socket_transport = SocketTransport(cluster.addresses[0], timeout=5.0)
+    socket_transport = _client(cluster.addresses[0], timeout=5.0)
     try:
         root = local.root_pre()
         for method, args in [
@@ -416,9 +440,9 @@ def test_socket_and_simulated_transport_byte_parity(shamir_cluster):
             ("fetch_shares_batch", ([root],)),
         ]:
             sim = simulated.invoke_detailed(local, method, args)
-            sock = socket_transport.invoke_detailed(None, method, args)
-            assert sock.value == sim.value
-            assert sock.request_bytes == sim.request_bytes
-            assert sock.response_bytes == sim.response_bytes
+            assert socket_transport.invoke(0, method, args) == sim.value
+            stats = socket_transport.stats_of(0)
+            assert stats.bytes_sent == simulated.stats.bytes_sent
+            assert stats.bytes_received == simulated.stats.bytes_received
     finally:
         socket_transport.close()

@@ -452,7 +452,7 @@ class TestSocketFleet:
         config = DatabaseConfig(
             field=FieldConfig(tag_names=TAGS, seed=SEED, p=83),
             cluster=ClusterConfig(servers=4, threshold=2, sharing="shamir"),
-            transport=TransportConfig(transport="socket"),
+            transport=TransportConfig(transport="asyncio"),
             write=WriteConfig(enabled=True),
         )
         with EncryptedXMLDatabase.from_document(
