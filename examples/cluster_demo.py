@@ -80,14 +80,14 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     # Integrity: a corrupted server is detected through the redundancy.
-    # (The strict query fetches raw share rows, so the corruption is seen
-    # immediately; containment tests would surface it as the servers'
-    # decoded-share caches turn over.)
+    # (Servers read every share straight from their tables, so the
+    # corruption is seen on the very next query.)
     # ------------------------------------------------------------------
-    for row in deployment.node_tables[2].scan():
-        coeffs = list(row["share"])
+    corrupted = deployment.node_tables[2]
+    for pre in range(1, len(corrupted) + 1):
+        coeffs = corrupted.share_row(pre)
         coeffs[0] = (coeffs[0] + 1) % 83
-        row["share"] = coeffs
+        corrupted.set_share(pre, coeffs)
     try:
         database.query(QUERIES[2], engine="simple", strict=True)
         print("\nCorruption went undetected (unexpected)")

@@ -9,7 +9,7 @@ The package implements the paper's encrypted XML database end to end:
   sharing for multi-server clusters (:mod:`repro.prg`, :mod:`repro.secretshare`),
 * an XML substrate, XMark-style data generator and the trie representation of
   text content (:mod:`repro.xmldoc`, :mod:`repro.xmark`, :mod:`repro.trie`),
-* a relational storage engine with B+-tree indexes and a simulated RMI
+* a columnar node store addressed by pre-order number and a simulated RMI
   boundary, including the scatter-gather cluster transport
   (:mod:`repro.storage`, :mod:`repro.rmi`),
 * the encoder, the client/server filter pair, the XPath subset and the two

@@ -60,9 +60,11 @@ class FieldConfig:
     use_trie: bool = False
     #: compress trie chains into single edges
     trie_compressed: bool = True
-    #: B+-tree fan-out of the node-table indexes
+    #: B+-tree fan-out of the modelled node-table indexes (the Fig. 4
+    #: index-size model only: the columnar store builds no index)
     btree_order: int = 64
-    #: indexed columns (``None`` = the encoder's default set)
+    #: modelled index columns (``None`` = pre, post and parent); without
+    #: ``parent`` the server scans the parent column for children
     index_columns: Optional[List[str]] = None
 
 

@@ -13,21 +13,16 @@ cares that it holds one slice of a larger deployment.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Callable, List, Optional, Union
 
-from repro.encode.encoder import (
-    EncodingStats,
-    _EncodingHandler,
-    node_table_schema,
-)
+from repro.encode.encoder import EncodingStats
 from repro.encode.tagmap import TagMap
-from repro.metrics.timer import Stopwatch
 from repro.poly.ring import QuotientRing
 from repro.prg.generator import KeyedPRG
 from repro.secretshare import SharingError, SharingScheme, make_scheme
 from repro.storage.database import Database
-from repro.storage.table import Table
-from repro.xmldoc.parser import StreamingParser
+from repro.storage.table import NODE_TABLE_NAME, Table
+from repro.xmldoc.parser import ContentHandler
 
 
 class ClusterDeployment:
@@ -85,8 +80,6 @@ class ClusterDeployment:
     @property
     def node_tables(self) -> List[Table]:
         """Every server's node table, in server order."""
-        from repro.encode.encoder import NODE_TABLE_NAME
-
         return [database.table(NODE_TABLE_NAME) for database in self.databases]
 
     @property
@@ -109,15 +102,21 @@ class ClusterDeployment:
         )
 
 
-def deploy_text(
+def deploy(
     encoder,
-    xml_text: str,
+    feed: Callable[[ContentHandler], None],
+    input_bytes: int,
     servers: int = 1,
     threshold: Optional[int] = None,
     sharing: Union[str, SharingScheme] = "additive",
     databases: Optional[List[Database]] = None,
 ) -> ClusterDeployment:
-    """Stream ``xml_text`` into one node table per server (see Encoder.deploy_text)."""
+    """Stream a document into one node table per server.
+
+    ``feed`` drives the encoder's event handler (a parse of XML text or a
+    replay of a parsed tree); ``input_bytes`` is the document's serialised
+    size.  See :meth:`Encoder.deploy_text` for the other options.
+    """
     if isinstance(sharing, SharingScheme):
         scheme = sharing
         if scheme.ring != encoder.ring or scheme.prg != encoder.prg:
@@ -131,20 +130,8 @@ def deploy_text(
             "got %d databases for a %d-server scheme" % (len(databases), scheme.num_servers)
         )
 
-    tables = [
-        database.create_table(node_table_schema(), btree_order=encoder._btree_order)
-        for database in databases
-    ]
-    handler = _EncodingHandler(encoder, tables, scheme)
-    watch = Stopwatch().start()
-    StreamingParser(handler).parse_string(xml_text)
-    handler.flush()
-    for table in tables:
-        for column in encoder._index_columns:
-            table.create_index(column, unique=(column in ("pre", "post")))
-    elapsed = watch.stop()
-
-    input_bytes = len(xml_text.encode("utf-8"))
+    tables = [database.add_table(encoder.new_table()) for database in databases]
+    handler, elapsed = encoder.stream(feed, tables, scheme)
     per_server_stats = [
         encoder._build_stats(table, input_bytes, handler.node_count, elapsed)
         for table in tables

@@ -23,46 +23,21 @@ dispatched arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.encode.tagmap import TagMap
 from repro.metrics.timer import Stopwatch
-from repro.poly.ring import QuotientRing, RingPolynomial
+from repro.poly.ring import QuotientRing
 from repro.prg.generator import KeyedPRG
 from repro.secretshare.additive import AdditiveSharing
 from repro.storage.database import Database
-from repro.storage.schema import Column, ColumnType, TableSchema
-from repro.storage.table import Table
+from repro.storage.table import DEFAULT_INDEX_COLUMNS, NODE_TABLE_NAME, Table
 from repro.xmldoc.nodes import XMLDocument
-from repro.xmldoc.parser import ContentHandler, StreamingParser
-from repro.xmldoc.serializer import serialize
-
-#: name of the server-side node table
-NODE_TABLE_NAME = "nodes"
+from repro.xmldoc.parser import ContentHandler, StreamingParser, replay
+from repro.xmldoc.serializer import document_byte_size
 
 #: byte width charged per pre/post/parent integer (MySQL INT)
 STRUCTURE_INT_BYTES = 4
-
-
-def node_table_schema() -> TableSchema:
-    """The relational schema of the server's node table.
-
-    ``version`` is the row's write epoch: absent (or 0) for bulk-loaded
-    rows — keeping freshly encoded tables byte-identical to the pre-write
-    era — and bumped by every committed mutation that touches the row.
-    Share masks are salted with it, version checks gate the two-phase
-    write protocol, and read-repair keys off it.
-    """
-    return TableSchema(
-        NODE_TABLE_NAME,
-        [
-            Column("pre", ColumnType.INTEGER),
-            Column("post", ColumnType.INTEGER),
-            Column("parent", ColumnType.INTEGER),
-            Column("share", ColumnType.INT_LIST),
-            Column("version", ColumnType.INTEGER, nullable=True),
-        ],
-    )
 
 
 @dataclass(frozen=True)
@@ -160,13 +135,13 @@ class _EncodingHandler(ContentHandler):
     until the first child closes (skipping the multiply-by-one), and the
     finished ``(pre, post, parent, polynomial)`` records buffer until a
     flush splits the whole batch through the scheme's
-    ``server_share_rows`` and bulk-inserts each server's rows on the
-    trusted (schema-shaped-by-construction) path.  The arithmetic order is
-    unchanged, so the stored shares are bit-identical to the historical
-    per-node path on every kernel backend.
+    ``server_share_rows`` and places each server's share rows straight
+    into its table's columns.  The arithmetic order is unchanged, so the
+    stored shares are bit-identical to the historical per-node path on
+    every kernel backend.
     """
 
-    #: buffered nodes per share-split/bulk-insert flush
+    #: buffered nodes per share-split/placement flush
     _FLUSH_ROWS = 1024
 
     def __init__(self, encoder: "Encoder", tables: Sequence[Table], scheme):
@@ -223,27 +198,18 @@ class _EncodingHandler(ContentHandler):
             self.flush()
 
     def flush(self) -> None:
-        """Split and store every buffered node; called on batch boundaries
-        and once by the encode entry points before index creation."""
-        if not self._pending:
+        """Split every buffered node and place the share rows into the
+        tables; called on batch boundaries and once at the end of a
+        document."""
+        pending = self._pending
+        if not pending:
             return
-        pres = [record[0] for record in self._pending]
-        share_rows = self._scheme.server_share_rows(
-            [record[3] for record in self._pending], pres
-        )
-        for table, server_rows in zip(self._tables, share_rows):
-            table.insert_many(
-                [
-                    {
-                        "pre": pre,
-                        "post": post,
-                        "parent": parent,
-                        "share": tuple(share),
-                    }
-                    for (pre, post, parent, _), share in zip(self._pending, server_rows)
-                ],
-                validate=False,
-            )
+        pres = [record[0] for record in pending]
+        posts = [record[1] for record in pending]
+        parents = [record[2] for record in pending]
+        share_rows = self._scheme.server_share_rows([record[3] for record in pending], pres)
+        for table, rows in zip(self._tables, share_rows):
+            table.place(pres, posts, parents, rows)
         self._pending = []
 
     def characters(self, text: str) -> None:
@@ -254,7 +220,13 @@ class _EncodingHandler(ContentHandler):
 
 
 class Encoder:
-    """Encodes XML documents into a server database of secret-shared rows."""
+    """Encodes XML documents into a server database of secret-shared rows.
+
+    ``btree_order`` and ``index_columns`` describe the B+-tree indexes of
+    the paper's MySQL schema; the columnar store builds none, and they only
+    feed the index-size model of :class:`EncodingStats` (Fig. 4) and the
+    index ablation (see :mod:`repro.storage.table`).
+    """
 
     def __init__(
         self,
@@ -270,7 +242,9 @@ class Encoder:
         self.prg = KeyedPRG(seed, self.field, memo_size=prg_memo_size)
         self.sharing = AdditiveSharing(self.ring, self.prg)
         self._btree_order = btree_order
-        self._index_columns = index_columns if index_columns is not None else ["pre", "post", "parent"]
+        self._index_columns = list(
+            index_columns if index_columns is not None else DEFAULT_INDEX_COLUMNS
+        )
 
     # ------------------------------------------------------------------
     # Encoding entry points
@@ -279,38 +253,57 @@ class Encoder:
     def encode_document(
         self, document: XMLDocument, database: Optional[Database] = None
     ) -> EncodedDatabase:
-        """Encode an in-memory document (convenience around the streaming path)."""
-        return self.encode_text(serialize(document), database=database)
+        """Encode an in-memory document, replaying its tree as parse events."""
+        return self._encode(_replayer(document), document_byte_size(document), database)
 
     def encode_text(self, xml_text: str, database: Optional[Database] = None) -> EncodedDatabase:
         """Encode XML text, streaming through the SAX parser."""
-        database = database or Database()
-        table = database.create_table(node_table_schema(), btree_order=self._btree_order)
-        handler = _EncodingHandler(self, [table], self.sharing)
-        watch = Stopwatch().start()
-        StreamingParser(handler).parse_string(xml_text)
-        handler.flush()
-        for column in self._index_columns:
-            table.create_index(column, unique=(column in ("pre", "post")))
-        elapsed = watch.stop()
-        stats = self._build_stats(table, len(xml_text.encode("utf-8")), handler.node_count, elapsed)
-        return EncodedDatabase(database, self.ring, self.tag_map, self.prg, stats)
+        return self._encode(_parser(xml_text), len(xml_text.encode("utf-8")), database)
 
     def encode_file(self, path: str, database: Optional[Database] = None, encoding: str = "utf-8") -> EncodedDatabase:
         """Encode an XML file from disk."""
         with open(path, "r", encoding=encoding) as handle:
             return self.encode_text(handle.read(), database=database)
 
+    def _encode(
+        self, feed: Callable[[ContentHandler], None], input_bytes: int, database: Optional[Database]
+    ) -> EncodedDatabase:
+        database = database or Database()
+        table = database.add_table(self.new_table())
+        handler, elapsed = self.stream(feed, [table], self.sharing)
+        stats = self._build_stats(table, input_bytes, handler.node_count, elapsed)
+        return EncodedDatabase(database, self.ring, self.tag_map, self.prg, stats)
+
+    def new_table(self) -> Table:
+        """An empty node table laid out for this encoder's ring."""
+        return Table(
+            width=self.ring.length,
+            index_columns=self._index_columns,
+            btree_order=self._btree_order,
+        )
+
+    def stream(self, feed: Callable[[ContentHandler], None], tables: Sequence[Table], scheme):
+        """Run ``feed`` (a parse or a replay) into one table per server;
+        returns the finished handler and the elapsed seconds."""
+        handler = _EncodingHandler(self, tables, scheme)
+        watch = Stopwatch().start()
+        feed(handler)
+        handler.flush()
+        return handler, watch.stop()
+
     # ------------------------------------------------------------------
     # Cluster deployment entry points
     # ------------------------------------------------------------------
 
     def deploy_document(self, document: XMLDocument, **kwargs):
-        """Encode a document into an n-server cluster deployment.
+        """Encode a document into an n-server cluster deployment, replaying
+        its tree as parse events.
 
         See :meth:`deploy_text` for the keyword options.
         """
-        return self.deploy_text(serialize(document), **kwargs)
+        from repro.encode.deploy import deploy
+
+        return deploy(self, _replayer(document), document_byte_size(document), **kwargs)
 
     def deploy_text(
         self,
@@ -331,11 +324,12 @@ class Encoder:
         unchanged.  Returns a
         :class:`~repro.encode.deploy.ClusterDeployment`.
         """
-        from repro.encode.deploy import deploy_text
+        from repro.encode.deploy import deploy
 
-        return deploy_text(
+        return deploy(
             self,
-            xml_text,
+            _parser(xml_text),
+            len(xml_text.encode("utf-8")),
             servers=servers,
             threshold=threshold,
             sharing=sharing,
@@ -348,17 +342,20 @@ class Encoder:
 
     def _build_stats(self, table: Table, input_bytes: int, node_count: int, elapsed: float) -> EncodingStats:
         element_bytes = max(1, (self.field.element_bits + 7) // 8)
-        payload_bytes = table.column_bytes("share", element_bytes=element_bytes)
-        structure_bytes = sum(
-            table.column_bytes(column, int_width=STRUCTURE_INT_BYTES)
-            for column in ("pre", "post", "parent")
-        )
-        index_bytes = table.index_bytes()
+        rows = len(table)
         return EncodingStats(
             node_count=node_count,
             input_bytes=input_bytes,
-            payload_bytes=payload_bytes,
-            structure_bytes=structure_bytes,
-            index_bytes=index_bytes,
+            payload_bytes=rows * table.width * element_bytes,
+            structure_bytes=rows * 3 * STRUCTURE_INT_BYTES,
+            index_bytes=table.index_bytes(),
             encoding_seconds=elapsed,
         )
+
+
+def _parser(xml_text: str) -> Callable[[ContentHandler], None]:
+    return lambda handler: StreamingParser(handler).parse_string(xml_text)
+
+
+def _replayer(document: XMLDocument) -> Callable[[ContentHandler], None]:
+    return lambda handler: replay(document, handler)

@@ -18,6 +18,9 @@ exception                  raised when
                            (epoch moved, double-stage, journal gap)
 ``StaleVersionError``      a delta targets rows the server no longer
                            has at the expected position/version
+``DenseOrderError``        a delta would leave the pre numbers of a
+                           node table with a gap (subclass of
+                           ``WriteConflictError``)
 ``WriteError``             a two-phase apply failed before any server
                            committed (subclass of ``WriteConflictError``)
 ``ServerUnavailable``      a share server is unreachable or died
@@ -51,12 +54,13 @@ from repro.rmi.socket import (
 from repro.rmi.supervisor import SupervisorError
 from repro.rmi.write import WriteError
 from repro.secretshare.scheme import AttributionInconclusive, SharingError
-from repro.storage.errors import StaleVersionError, StorageError, WriteConflictError
+from repro.storage.errors import DenseOrderError, StaleVersionError, StorageError, WriteConflictError
 
 __all__ = [
     "AttributionInconclusive",
     "ClusterProtocolError",
     "ConfigError",
+    "DenseOrderError",
     "FieldError",
     "InconsistentShareError",
     "KernelUnavailableError",

@@ -6,8 +6,8 @@ implicitly so EXPERIMENTS.md can discuss them:
 * **Equality-test cost vs fan-out** — the paper notes "the cost of a single
   equality test depends on the number of children"; this ablation measures
   reconstructions per equality test against node fan-out.
-* **Index ablation** — what the B-tree indices on pre/post/parent buy: query
-  work with and without indexes (the unindexed path falls back to scans).
+* **Index ablation** — what the child index on ``parent`` buys: query work
+  with and without it (the unindexed path scans the ``parent`` column).
 * **RMI overhead** — remote calls and bytes with the simulated transport
   versus direct in-process calls.
 """
@@ -75,12 +75,12 @@ def run_equality_cost_ablation(
 
 
 def run_index_ablation(scale: Optional[float] = None) -> ExperimentRecord:
-    """Compare query latency with and without the pre/post/parent B-trees."""
+    """Compare query latency with and without the child index on ``parent``."""
     scale = scale if scale is not None else bench_scale()
     document = build_document(scale)
     record = ExperimentRecord(
         experiment_id="ablation-indexes",
-        title="Effect of the pre/post/parent B-tree indexes",
+        title="Effect of the child index on parent",
         parameters={"scale": scale},
     )
     for label, index_columns in (("indexed", None), ("unindexed", [])):

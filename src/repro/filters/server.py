@@ -6,6 +6,11 @@ serialisable values (ints, lists, dicts) so it can sit behind the
 :class:`~repro.rmi.proxy.RemoteProxy` boundary exactly like the prototype's
 RMI ``ServerFilter``.
 
+Every request is answered from the columnar node table
+(:class:`~repro.storage.table.Table`): a node's row is the array offset
+``pre - 1``, its children are one slice of the child-offset index, and its
+descendants are the contiguous pre range up to the subtree's end.
+
 Batch protocol
 --------------
 
@@ -21,16 +26,12 @@ issue *k* calls.  The bulk endpoints collapse that to one call per step:
   whole candidate list.  Unknown ``pre`` numbers raise :class:`LookupError`,
   matching :meth:`evaluate` / :meth:`fetch_share`.
 
-The row-resolving endpoints (``node_infos``, ``evaluate_batch``,
-``fetch_shares_batch``) answer dense batches (the common case: candidates
-are a contiguous sibling or subtree range) in a **single ascending pass**
-over the ``pre`` index instead of one B+-tree descent per node, falling back
-to point lookups for sparse batches; ``children_of_many`` /
-``descendants_of_many`` iterate their per-node counterparts server-side (the
-saving there is the round trips, not the index work).  Decoded
-:class:`~repro.poly.ring.RingPolynomial` shares are kept in a bounded LRU
-cache (the table is bulk-load-then-query, so entries never go stale);
-:meth:`share_cache_info` exposes hit/miss accounting.
+``evaluate_batch`` is a bounds check, one gather of the candidates' share
+rows out of the table's share block (a fancy index over a zero-copy view
+under the numpy kernels) and one ``ring.evaluate_rows`` sweep;
+``fetch_shares_batch`` is the same gather handed back as lists.  Nothing is
+decoded per row, so there is no decoded-share cache:
+:meth:`share_cache_info` keeps its keys for reports and reads zero.
 
 Write protocol
 --------------
@@ -38,14 +39,15 @@ Write protocol
 Mutations arrive as **deltas** (see :class:`repro.encode.mutate.WriteDelta`)
 through a two-phase surface: :meth:`prepare_delta` validates the delta
 against the table's current **epoch** and stages it, :meth:`commit_delta`
-applies the staged rows atomically (under the server lock) and advances the
-epoch, :meth:`abort_delta` discards it.  A delta whose ``base_epoch`` does
-not match the table raises
+splices the staged rows into the table atomically (under the server lock)
+and advances the epoch, :meth:`abort_delta` discards it.  A delta whose
+``base_epoch`` does not match the table raises
 :class:`~repro.storage.errors.WriteConflictError` — the optimistic
-concurrency check that serialises concurrent writers.  Committing evicts
-every touched ``pre`` from the decoded-share LRU, so no stale polynomial is
-ever served after a write.  :meth:`row_versions` exposes the per-row write
-versions that read-repair compares across servers.
+concurrency check that serialises concurrent writers — and one that would
+leave the pre numbers non-dense raises
+:class:`~repro.storage.errors.DenseOrderError` at prepare time.
+:meth:`row_versions` exposes the per-row write versions that read-repair
+compares across servers.
 
 Thread-safety contract
 ----------------------
@@ -53,36 +55,35 @@ Thread-safety contract
 The concurrent cluster transport may hit one server from several client
 threads at once (a structural prefetch overlapping an in-flight share
 scatter, a hedged re-issue racing the original).  The mutable server state —
-the decoded-share LRU (an ``OrderedDict`` whose ``move_to_end`` is a
-read-modify-write), the ``next_node`` queue table, and the write-path
-staging area — is guarded by one internal lock.  Delta commits mutate the
-node table under that lock; a read racing a commit sees either the old or
-the new rows of the affected range, and the cross-server version checks at
-reconstruction time catch (and repair) any skew the race exposes.
+the ``next_node`` queue table and the write-path staging area — is guarded
+by one internal lock, and commits run under it.  A commit swaps in freshly
+built columns instead of resizing the live ones, so a read racing it works
+on either the old or the new column it fetched; the cross-server version
+checks at reconstruction time catch (and repair) any skew the race exposes.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
+from collections import deque
+from operator import itemgetter
 from typing import Deque, Dict, List, Optional, Sequence
 
 from repro.filters.interface import Filter
-from repro.poly.ring import QuotientRing, RingPolynomial
+from repro.poly.ring import QuotientRing
 from repro.storage.errors import StaleVersionError, WriteConflictError
 from repro.storage.table import Table
 
-#: below this key-density a batch is resolved by point lookups instead of a
-#: single range pass (scanning a long sparse range would touch more rows)
-_DENSE_SCAN_FACTOR = 4
-
 
 class ServerFilter(Filter):
-    """Answers structural and share-evaluation requests from the node table."""
+    """Answers structural and share-evaluation requests from the node table.
+
+    ``share_cache_size`` is accepted and ignored: the decoded-share cache it
+    sized is gone (see the module docstring), and reports still read the
+    keyword's default.
+    """
 
     def __init__(self, table: Table, ring: QuotientRing, share_cache_size: int = 256):
-        if share_cache_size < 0:
-            raise ValueError("share_cache_size must be non-negative")
         self._table = table
         self._ring = ring
         # Result queues for the next_node() pipeline: the big server buffers
@@ -91,21 +92,21 @@ class ServerFilter(Filter):
         # draining a queue quadratic in its length.
         self._queues: Dict[int, Deque[int]] = {}
         self._next_queue_id = 1
-        # Bounded LRU of decoded share polynomials, keyed by ``pre``.
-        self._share_cache: "OrderedDict[int, RingPolynomial]" = OrderedDict()
-        self._share_cache_size = share_cache_size
-        self._share_cache_hits = 0
-        self._share_cache_misses = 0
-        # Guards the share LRU and the queue table against concurrent
-        # readers (see the module docstring's thread-safety contract).
+        # Guards the queue table and the write path (see the module
+        # docstring's thread-safety contract).
         self._lock = threading.RLock()
         # Write path: the table's committed epoch and the staged delta of an
         # in-flight two-phase write (at most one at a time per server).
         self._table_epoch = 0
         self._staged_delta: Optional[Dict] = None
 
+    @property
+    def table(self) -> Table:
+        """The node table this server answers from."""
+        return self._table
+
     # ------------------------------------------------------------------
-    # Structural queries (all via the indexed access paths)
+    # Structural queries
     # ------------------------------------------------------------------
 
     def node_count(self) -> int:
@@ -113,103 +114,43 @@ class ServerFilter(Filter):
         return len(self._table)
 
     def root_pre(self) -> int:
-        """Locate the root: the only node with ``parent == 0`` (indexed)."""
-        rows = self._table.lookup("parent", 0)
-        if not rows:
+        """Locate the root: the only node with ``parent == 0``."""
+        roots = self._table.children(0)
+        if not roots:
             raise LookupError("node table contains no root (parent = 0) row")
-        if len(rows) > 1:
-            raise LookupError("node table contains %d root rows" % len(rows))
-        return rows[0]["pre"]
+        if len(roots) > 1:
+            raise LookupError("node table contains %d root rows" % len(roots))
+        return roots[0]
 
     def node_info(self, pre: int) -> Optional[Dict[str, int]]:
         """pre/post/parent of one node, or ``None`` when absent."""
-        rows = self._table.lookup("pre", pre)
-        if not rows:
-            return None
-        row = rows[0]
-        return {"pre": row["pre"], "post": row["post"], "parent": row["parent"]}
+        return self.node_infos([pre])[0]
 
     def node_infos(self, pres: List[int]) -> List[Optional[Dict[str, int]]]:
         """Batch variant of :meth:`node_info` (aligned with ``pres``)."""
-        pres = list(pres)
-        rows = self._rows_for(pres)
-        infos: List[Optional[Dict[str, int]]] = []
-        for pre in pres:
-            row = rows.get(pre)
-            if row is None:
-                infos.append(None)
-            else:
-                infos.append({"pre": row["pre"], "post": row["post"], "parent": row["parent"]})
-        return infos
+        post, parent = self._table.post, self._table.parent
+        count = min(len(post), len(parent))
+        return [
+            {"pre": pre, "post": post[pre - 1], "parent": parent[pre - 1]}
+            if 1 <= pre <= count
+            else None
+            for pre in pres
+        ]
 
     def children_of(self, pre: int) -> List[int]:
-        """Direct children via the ``parent`` index, in document order."""
-        rows = self._table.lookup("parent", pre)
-        return sorted(row["pre"] for row in rows)
+        """Direct children in document order (one child-index slice)."""
+        return self._table.children(pre)
 
     def children_of_many(self, pres: List[int]) -> List[List[int]]:
-        """Children of every node in ``pres`` (one list per input node).
-
-        Dense batches (the common case: a contiguous sibling or subtree
-        range) are resolved in one grouped ascending pass over the
-        ``parent`` index between the smallest and largest requested parent;
-        sparse batches fall back to one point lookup per parent, exactly
-        like :meth:`children_of`.
-        """
-        pres = list(pres)
-        if not pres:
-            return []
-        wanted = set(pres)
-        grouped: Dict[int, List[int]] = {pre: [] for pre in wanted}
-        low, high = min(wanted), max(wanted)
-        scanned = False
-        if high - low + 1 <= _DENSE_SCAN_FACTOR * len(wanted):
-            # The parent index is non-unique, so a small key range can still
-            # hold a huge row count (an unrequested node with big fanout).
-            # Abandon the scan once the wasted rows exceed the budget and
-            # fall back to point lookups.
-            budget = _DENSE_SCAN_FACTOR * len(wanted)
-            wasted = 0
-            scanned = True
-            for row in self._table.range_lookup("parent", low=low, high=high):
-                bucket = grouped.get(row["parent"])
-                if bucket is None:
-                    wasted += 1
-                    if wasted > budget:
-                        scanned = False
-                        grouped = {pre: [] for pre in wanted}
-                        break
-                else:
-                    bucket.append(row["pre"])
-            if scanned:
-                for bucket in grouped.values():
-                    bucket.sort()
-        if not scanned:
-            for pre in wanted:
-                grouped[pre] = sorted(
-                    row["pre"] for row in self._table.lookup("parent", pre)
-                )
-        return [list(grouped[pre]) for pre in pres]
+        """Children of every node in ``pres`` (one list per input node)."""
+        return self._table.children_many(list(pres))
 
     def descendants_of(self, pre: int) -> List[int]:
-        """All proper descendants via a bounded ``pre`` range scan.
-
-        Pre-order subtrees are contiguous: every descendant follows the
-        anchor in ``pre`` order and precedes it in ``post`` order, and the
-        first following row with a larger ``post`` marks the end of the
-        subtree — so the scan stops there instead of filtering every row to
-        the end of the table.
-        """
-        anchor_rows = self._table.lookup("pre", pre)
-        if not anchor_rows:
+        """All proper descendants: the contiguous pre range after ``pre``
+        up to the end of its subtree."""
+        if not 1 <= pre <= len(self._table):
             return []
-        anchor = anchor_rows[0]
-        result = []
-        for row in self._table.range_lookup("pre", low=anchor["pre"], include_low=False):
-            if row["post"] > anchor["post"]:
-                break
-            result.append(row["pre"])
-        return result
+        return list(range(pre + 1, self._table.subtree_end(pre) + 1))
 
     def descendants_of_many(self, pres: List[int]) -> List[List[int]]:
         """Descendants of every node in ``pres`` (one list per input node)."""
@@ -217,61 +158,40 @@ class ServerFilter(Filter):
 
     def parent_of(self, pre: int) -> int:
         """Parent ``pre`` number (0 for the root; raises for unknown nodes)."""
-        rows = self._table.lookup("pre", pre)
-        if not rows:
+        info = self.node_infos([pre])[0]
+        if info is None:
             raise LookupError("no node with pre=%d" % pre)
-        return rows[0]["parent"]
+        return info["parent"]
 
     # ------------------------------------------------------------------
     # Share access
     # ------------------------------------------------------------------
 
+    def _share_rows(self, pres: Sequence[int]):
+        """The share rows of ``pres`` in the kernel's matrix form; unknown
+        nodes raise :class:`LookupError`."""
+        table = self._table
+        block, width = table.shares, table.width
+        count = len(block) // width if width else 0
+        if pres and (min(pres) < 1 or max(pres) > count):
+            absent = sorted({pre for pre in pres if not 1 <= pre <= count})
+            raise LookupError("no node with pre=%s" % absent)
+        return self._ring.kernel.gather_rows(block, width, [pre - 1 for pre in pres])
+
     def evaluate(self, pre: int, point: int) -> int:
         """Evaluate the *stored server share* of node ``pre`` at ``point``."""
-        return self._ring.evaluate(self._share_polynomial(pre), point)
+        return self.evaluate_batch([pre], point)[0]
 
     def evaluate_batch(self, pres: List[int], point: int) -> List[int]:
         """Evaluate the stored shares of all ``pres`` at ``point``.
 
-        One remote call and one index pass resolve every non-cached share;
-        results are aligned with ``pres``.  Unknown nodes raise
-        :class:`LookupError` like :meth:`evaluate`.
+        One gather and one kernel sweep; results are aligned with ``pres``.
+        Unknown nodes raise :class:`LookupError` like :meth:`evaluate`.
         """
         pres = list(pres)
-        polys: Dict[int, RingPolynomial] = {}
-        uncached: List[int] = []
-        # One lock acquisition covers the whole cache-lookup pass (instead of
-        # one per candidate); hit/miss accounting and LRU touch order match
-        # the per-node loop exactly.
-        with self._lock:
-            for pre in dict.fromkeys(pres):
-                poly = self._share_cache.get(pre)
-                if poly is not None:
-                    self._share_cache.move_to_end(pre)
-                    self._share_cache_hits += 1
-                    polys[pre] = poly
-                else:
-                    self._share_cache_misses += 1
-                    uncached.append(pre)
-        if uncached:
-            rows = self._rows_for(uncached)
-            absent = sorted(set(uncached) - rows.keys())
-            if absent:
-                raise LookupError("no node with pre=%s" % absent)
-            for pre in uncached:
-                polys[pre] = self._ring.wrap_canonical(rows[pre]["share"])
-            if self._share_cache_size:
-                # Second single acquisition stores every decoded share.
-                # Insertions append in the same order the loop did, and
-                # evicting from the front afterwards pops exactly the
-                # entries per-store eviction would have.
-                with self._lock:
-                    for pre in uncached:
-                        self._share_cache[pre] = polys[pre]
-                        self._share_cache.move_to_end(pre)
-                    while len(self._share_cache) > self._share_cache_size:
-                        self._share_cache.popitem(last=False)
-        return self._ring.evaluate_many([polys[pre] for pre in pres], point)
+        if not pres:
+            return []
+        return self._ring.evaluate_rows(self._share_rows(pres), point)
 
     def fetch_share(self, pre: int) -> List[int]:
         """The raw server-share coefficients of node ``pre``.
@@ -279,100 +199,33 @@ class ServerFilter(Filter):
         Needed by the client for the equality test, which must reconstruct
         whole polynomials rather than just evaluations.
         """
-        return list(self._share_row(pre)["share"])
+        return self.fetch_shares_batch([pre])[0]
 
     def fetch_shares_batch(self, pres: List[int]) -> List[List[int]]:
-        """Raw share coefficients for all ``pres``, one index pass.
+        """Raw share coefficients for all ``pres``: one row gather.
 
         Results align with ``pres`` (duplicates allowed); unknown nodes raise
         :class:`LookupError` like :meth:`fetch_share`.
         """
         pres = list(pres)
-        rows = self._rows_for(pres)
-        absent = sorted(set(pres) - rows.keys())
-        if absent:
-            raise LookupError("no node with pre=%s" % absent)
-        return [list(rows[pre]["share"]) for pre in pres]
-
-    def _share_row(self, pre: int) -> Dict:
-        rows = self._table.lookup("pre", pre)
-        if not rows:
-            raise LookupError("no node with pre=%d" % pre)
-        return rows[0]
-
-    def _share_polynomial(self, pre: int) -> RingPolynomial:
-        poly = self._cached_share(pre)
-        if poly is None:
-            # Rows were written from canonical share coefficients by the
-            # encoder, so the validating constructor is unnecessary here.
-            poly = self._ring.wrap_canonical(self._share_row(pre)["share"])
-            self._store_share(pre, poly)
-        return poly
-
-    # ------------------------------------------------------------------
-    # Batch row resolution + share cache
-    # ------------------------------------------------------------------
-
-    def _rows_for(self, pres: Sequence[int]) -> Dict[int, Dict]:
-        """Resolve the table rows of a batch of ``pre`` keys.
-
-        Dense batches are answered by a single ascending pass over the
-        ``pre`` index between the smallest and largest key; sparse batches
-        (where that range would be mostly misses) use point lookups.
-        Missing keys are simply absent from the result.
-        """
-        wanted = set(pres)
-        if not wanted:
-            return {}
-        found: Dict[int, Dict] = {}
-        low, high = min(wanted), max(wanted)
-        if high - low + 1 <= _DENSE_SCAN_FACTOR * len(wanted):
-            for row in self._table.range_lookup("pre", low=low, high=high):
-                if row["pre"] in wanted:
-                    found[row["pre"]] = row
-                    if len(found) == len(wanted):
-                        break
-        else:
-            for pre in wanted:
-                rows = self._table.lookup("pre", pre)
-                if rows:
-                    found[pre] = rows[0]
-        return found
-
-    def _cached_share(self, pre: int) -> Optional[RingPolynomial]:
-        with self._lock:
-            poly = self._share_cache.get(pre)
-            if poly is not None:
-                self._share_cache.move_to_end(pre)
-                self._share_cache_hits += 1
-                return poly
-            self._share_cache_misses += 1
-            return None
-
-    def _store_share(self, pre: int, poly: RingPolynomial) -> None:
-        if self._share_cache_size == 0:
-            return
-        with self._lock:
-            self._share_cache[pre] = poly
-            self._share_cache.move_to_end(pre)
-            while len(self._share_cache) > self._share_cache_size:
-                self._share_cache.popitem(last=False)
+        if not pres:
+            return []
+        return self._ring.kernel.unstack(self._share_rows(pres))
 
     def share_cache_info(self) -> Dict[str, object]:
-        """Hit/miss/occupancy accounting of the decoded-share LRU cache.
+        """Accounting of the retired decoded-share cache (all zero).
 
         ``backend`` names the arithmetic kernel that produced every
         evaluation this server performed, so traces and reports can state
         which implementation they measured.
         """
-        with self._lock:
-            return {
-                "hits": self._share_cache_hits,
-                "misses": self._share_cache_misses,
-                "size": len(self._share_cache),
-                "capacity": self._share_cache_size,
-                "backend": self._ring.kernel.name,
-            }
+        return {
+            "hits": 0,
+            "misses": 0,
+            "size": 0,
+            "capacity": 0,
+            "backend": self._ring.kernel.name,
+        }
 
     # ------------------------------------------------------------------
     # Write path — two-phase delta application
@@ -390,25 +243,21 @@ class ServerFilter(Filter):
         unknown rows report -1.  Read-repair compares these across servers
         to tell *stale* (behind on a committed write) from *corrupt*.
         """
-        rows = self._rows_for(list(pres))
-        versions = []
-        for pre in pres:
-            row = rows.get(pre)
-            if row is None:
-                versions.append(-1)
-            else:
-                versions.append(row.get("version") or 0)
-        return versions
+        version = self._table.version
+        count = len(version)
+        return [version[pre - 1] if 1 <= pre <= count else -1 for pre in pres]
 
     def prepare_delta(self, payload: Dict) -> Dict[str, int]:
         """Phase one: validate a delta against the table epoch and stage it.
 
         Raises :class:`WriteConflictError` when the delta was computed
         against a different epoch than the table holds (another write
-        committed first, or this server missed one), and
+        committed first, or this server missed one),
         :class:`StaleVersionError` when a structural update targets a row
-        this server does not have.  Staging is idempotent for the same
-        epoch; a different staged epoch is a conflict.
+        this server does not have, and
+        :class:`~repro.storage.errors.DenseOrderError` when applying it
+        would leave the pre numbers non-dense.  Staging is idempotent for
+        the same epoch; a different staged epoch is a conflict.
         """
         base_epoch = int(payload["base_epoch"])
         epoch = int(payload["epoch"])
@@ -427,11 +276,9 @@ class ServerFilter(Filter):
                     "another delta (epoch %d) is already prepared"
                     % self._staged_delta["epoch"]
                 )
-            missing = [
-                pre
-                for pre, _, _ in payload.get("structural", [])
-                if not self._table.lookup("pre", pre)
-            ]
+            table = self._table
+            structural = [tuple(record) for record in payload.get("structural", [])]
+            missing = [pre for pre, _, _ in structural if not 1 <= pre <= len(table)]
             if missing:
                 raise StaleVersionError(
                     "structural update targets rows this server does not "
@@ -440,22 +287,28 @@ class ServerFilter(Filter):
                     expected=base_epoch,
                     found=self._table_epoch,
                 )
+            upserts = sorted(payload.get("upserts", []), key=itemgetter(0))
+            if any(len(record[3]) != table.width for record in upserts):
+                raise WriteConflictError(
+                    "upserted share rows must have %d coefficients" % table.width
+                )
+            deletes = [int(pre) for pre in payload.get("deletes", [])]
+            table.splice_count(upserts, structural, deletes)
             self._staged_delta = {
-                "base_epoch": base_epoch,
                 "epoch": epoch,
-                "upserts": [list(record) for record in payload.get("upserts", [])],
-                "structural": [list(record) for record in payload.get("structural", [])],
-                "deletes": [int(pre) for pre in payload.get("deletes", [])],
+                "upserts": upserts,
+                "structural": structural,
+                "deletes": deletes,
             }
             return {"epoch": epoch, "base_epoch": base_epoch}
 
     def commit_delta(self, epoch: int) -> Dict[str, int]:
-        """Phase two: apply the staged delta atomically and advance the epoch.
+        """Phase two: splice the staged delta into the table and advance
+        the epoch.
 
-        All deletions (explicit deletes, re-shared rows, renumbered rows)
-        happen before any insertion, so the unique ``pre``/``post`` indexes
-        never see a transient collision while a whole range shifts.  Every
-        touched ``pre`` is evicted from the decoded-share LRU.
+        The splice rewrites every column over the touched range in one
+        copy, so the table goes from the old rows to the new ones without
+        a transient state.
         """
         with self._lock:
             staged = self._staged_delta
@@ -464,35 +317,9 @@ class ServerFilter(Filter):
                     "no delta at epoch %d is prepared (staged: %s)"
                     % (epoch, staged["epoch"] if staged else None)
                 )
-            inserts: List[Dict] = []
-            touched: List[int] = list(staged["deletes"])
-            for pre, post, parent in staged["structural"]:
-                rows = self._table.lookup("pre", pre)
-                if not rows:
-                    raise StaleVersionError(
-                        "structural update targets a row this server lost: %d" % pre,
-                        stale_pres=[pre],
-                    )
-                old = rows[0]
-                row = {"pre": pre, "post": post, "parent": parent, "share": old["share"]}
-                if old.get("version"):
-                    row["version"] = old["version"]
-                inserts.append(row)
-                touched.append(pre)
-            for pre, post, parent, share, version in staged["upserts"]:
-                row = {"pre": pre, "post": post, "parent": parent, "share": tuple(share)}
-                if version:
-                    row["version"] = version
-                inserts.append(row)
-                touched.append(pre)
-            for pre in touched:
-                self._table.delete_by("pre", pre)
-            for row in inserts:
-                self._table.insert(row)
+            self._table.splice(staged["upserts"], staged["structural"], staged["deletes"])
             self._table_epoch = epoch
             self._staged_delta = None
-            for pre in touched:
-                self._share_cache.pop(pre, None)
             for queue in self._queues.values():
                 # buffered result queues may reference renumbered rows;
                 # a committed write invalidates in-flight pipelines
@@ -579,10 +406,10 @@ class CorruptibleServerFilter(ServerFilter):
 
     Chaos harnesses need to corrupt a *live* server's stored shares — the
     on-disk deployment slice must stay pristine so a healed replacement can
-    be byte-compared against it.  :meth:`corrupt_share` mutates one node's
-    share row in place and drops its decoded LRU entry, so the corruption is
-    served on the very next read.  Only the ``repro-server --chaos`` flag
-    wires this subclass in; production servers never export the method.
+    be byte-compared against it.  :meth:`corrupt_share` rewrites one node's
+    share row in the table's share block, so the corruption is served on
+    the very next read.  Only the ``repro-server --chaos`` flag wires this
+    subclass in; production servers never export the method.
     """
 
     def corrupt_share(self, pre: int, delta: int = 1) -> List[int]:
@@ -596,8 +423,6 @@ class CorruptibleServerFilter(ServerFilter):
         delta = int(delta) % order
         if delta == 0:
             raise ValueError("delta must be non-zero modulo the field order")
-        row = self._share_row(pre)
-        row["share"] = tuple((coeff + delta) % order for coeff in row["share"])
-        with self._lock:
-            self._share_cache.pop(pre, None)
-        return list(row["share"])
+        corrupted = [(coeff + delta) % order for coeff in self._table.share_row(pre)]
+        self._table.set_share(pre, corrupted)
+        return corrupted

@@ -58,8 +58,10 @@ The hot paths (the encoder's share generation, ``evaluate_batch``'s Horner
 sweep, Lagrange combination) want to stay *array-resident* end to end
 instead of converting per element.  Every kernel therefore also exposes a
 small bulk surface — :meth:`FieldKernel.stack` / :meth:`FieldKernel.unstack`
-/ :meth:`FieldKernel.unwrap`, the matrix-capable ``vec_*`` primitives,
-:meth:`FieldKernel.weighted_sum` and :meth:`FieldKernel.sum_rows` — with
+/ :meth:`FieldKernel.unwrap`, :meth:`FieldKernel.gather_rows` (rows of the
+node table's share block, a zero-copy view under numpy), the
+matrix-capable ``vec_*`` primitives, :meth:`FieldKernel.weighted_sum` and
+:meth:`FieldKernel.sum_rows` — with
 generic list-based fallbacks, so scheme/encoder code can be written once
 against the kernel and transparently runs on int64 matrices when the
 backend ``is array_native``.
@@ -276,6 +278,16 @@ class FieldKernel:
     def stack(self, vectors: Sequence[Sequence[int]]):
         """Bundle equal-length vectors into the kernel's matrix form."""
         return [list(vector) for vector in vectors]
+
+    def gather_rows(self, block, width: int, rows: Sequence[int]):
+        """Rows ``rows`` (0-based) of a row-major ``array`` block of
+        ``width``-coefficient vectors, in the kernel's matrix form.
+
+        This is how the node table's share block reaches the kernel: the
+        list kernels get one array slice per row, which iterates as plain
+        ints.
+        """
+        return [block[row * width : (row + 1) * width] for row in rows]
 
     def unstack(self, matrix) -> List[List[int]]:
         """Split a kernel matrix back into plain lists of canonical ints."""
@@ -757,6 +769,12 @@ class _NumpyMixin:
             return np.empty((0, 0), dtype=np.int64)
         return np.asarray([self._as_array(vector) for vector in vectors], dtype=np.int64)
 
+    def gather_rows(self, block, width: int, rows):
+        """One fancy index over a zero-copy ``np.frombuffer`` view of the
+        block, widened to the kernels' int64."""
+        view = np.frombuffer(block, dtype=block.typecode).reshape(-1, width)
+        return view[np.asarray(rows, dtype=np.intp)].astype(np.int64)
+
     def _matrix(self, vectors) -> "np.ndarray":
         """Possibly-ragged vectors as one zero-padded int64 matrix.
 
@@ -814,6 +832,20 @@ class NumpyPrimeKernel(_NumpyMixin, PrimeKernel):
         self._chunk = max(1, (2**63 - 1) // max(1, (p - 1) * (p - 1)))
         # cached rotate-by-one gather indexes, keyed on vector length
         self._rot_index = {}
+        # cached power vectors (point^0 .. point^(width-1) mod p), keyed on
+        # (point, width): the points are the tag map's few values
+        self._power_vectors = {}
+
+    def _powers(self, point: int, width: int) -> "np.ndarray":
+        powers = self._power_vectors.get((point, width))
+        if powers is None:
+            if len(self._power_vectors) >= 4096:
+                self._power_vectors.clear()
+            values = [1] * width
+            for i in range(1, width):
+                values[i] = values[i - 1] * point % self._p
+            powers = self._power_vectors[(point, width)] = np.asarray(values, dtype=np.int64)
+        return powers
 
     # ------------------------------------------------------------------
     # Vectors
@@ -912,6 +944,10 @@ class NumpyPrimeKernel(_NumpyMixin, PrimeKernel):
     # ------------------------------------------------------------------
 
     def horner_many(self, vectors, point: int):
+        """One mat-vec with the point's power vector when no dot product
+        can overflow int64 (``width * (p-1)^2 < 2^63``, canonical
+        coefficients), else a Horner sweep down the columns.  Both give
+        ``sum(c_i * point^i) mod p`` exactly."""
         matrix = self._matrix(vectors)
         rows, width = matrix.shape
         if rows == 0:
@@ -920,6 +956,8 @@ class NumpyPrimeKernel(_NumpyMixin, PrimeKernel):
         if width == 0:
             return [0] * rows
         point = int(point) % p
+        if width * (p - 1) ** 2 < 2**63:
+            return ((matrix @ self._powers(point, width)) % p).tolist()
         accumulator = matrix[:, width - 1] % p
         for column in range(width - 2, -1, -1):
             accumulator = (accumulator * point + matrix[:, column]) % p

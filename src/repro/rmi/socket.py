@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.rmi.codec import CodecError
-from repro.storage.errors import StaleVersionError, WriteConflictError
+from repro.storage.errors import DenseOrderError, StaleVersionError, WriteConflictError
 
 #: preamble a client sends right after connecting; a server drops any
 #: connection that opens with other bytes
@@ -157,6 +157,7 @@ _WIRE_EXCEPTION_TYPES: Dict[str, type] = {
         # repair re-derives it from ``row_versions``.
         WriteConflictError,
         StaleVersionError,
+        DenseOrderError,
     )
 }
 

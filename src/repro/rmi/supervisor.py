@@ -45,10 +45,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, TypeVar
 
-from repro.encode.encoder import NODE_TABLE_NAME, node_table_schema
+from repro.encode.encoder import NODE_TABLE_NAME
 from repro.filters.cluster import InconsistentShareError
 from repro.secretshare.scheme import SharingError, SharingScheme
 from repro.storage.database import Database
+from repro.storage.table import Table
 
 T = TypeVar("T")
 
@@ -495,21 +496,14 @@ class FleetSupervisor:
         return list(versions)
 
     def _build_database(self, rows: Sequence[Mapping[str, Any]]) -> Database:
-        """A deployment-slice database holding ``rows`` (encoder conventions).
+        """A deployment-slice database holding ``rows``.
 
-        Schema, index set and insertion order match
-        :meth:`Encoder.deploy_text` exactly, so ``Database.save`` writes
-        the same bytes the original slice file carries.  The encoder emits
-        rows as nodes *complete* — ascending post order — and ``save``
-        serialises rows in insertion order, so the rebuild must re-insert
-        in post order too.
+        The table is laid out like the encoder's, and ``Database.save``
+        writes rows in pre order, so the saved file carries the same bytes
+        as the original slice.
         """
         database = Database()
-        table = database.create_table(node_table_schema())
-        for row in sorted(rows, key=lambda row: row["post"]):
-            table.insert(dict(row))
-        for column in ("pre", "post", "parent"):
-            table.create_index(column, unique=(column in ("pre", "post")))
+        database.add_table(Table.from_rows(rows))
         return database
 
     # ------------------------------------------------------------------

@@ -1,39 +1,34 @@
-"""Relational storage substrate (the prototype's MySQL replacement).
+"""Server-side storage (the prototype's MySQL replacement).
 
 The prototype stores one row per XML node in a MySQL table::
 
     (pre, post, parent, polynomial-coefficients)
 
 with B-tree indices on ``pre``, ``post`` and ``parent`` "in order to speed up
-the search process" (section 5.1).  This package is a from-scratch,
-pure-Python stand-in providing the same capabilities:
+the search process" (section 5.1).  Pre-order numbers are dense, so this
+package stores the same rows as a struct of arrays instead, and every access
+the server makes is an array offset or a slice:
 
-* :class:`~repro.storage.schema.TableSchema` / :class:`~repro.storage.schema.Column`
-  — column definitions and row validation,
-* :class:`~repro.storage.btree.BPlusTree` — an order-configurable B+-tree with
-  point and range lookups (duplicate keys supported),
-* :class:`~repro.storage.table.Table` — a heap table with secondary B+-tree
-  indexes, scans, and size accounting used by the encoding experiment,
+* :class:`~repro.storage.table.Table` — the node table: ``pre``-addressed
+  ``post``/``parent``/``version`` columns, one share block and a child-offset
+  index derived from ``parent``; write splices and the Fig. 4 index-size
+  model live here too,
 * :class:`~repro.storage.database.Database` — a named catalog of tables with
-  optional on-disk persistence.
+  JSON persistence.
 
-The query layer only ever touches indexed access paths (point lookup on
-``parent``, point lookup on ``pre``, range scan on ``pre``/``post``), which is
-exactly what the MySQL schema gave the original prototype.
+A node's row is offset ``pre - 1``, its children are one slice of the
+child-offset index, and its subtree is the contiguous pre range up to
+:meth:`~repro.storage.table.Table.subtree_end`.
 """
 
-from repro.storage.btree import BPlusTree
 from repro.storage.database import Database
-from repro.storage.errors import StorageError
-from repro.storage.schema import Column, ColumnType, TableSchema
-from repro.storage.table import Table
+from repro.storage.errors import DenseOrderError, StorageError
+from repro.storage.table import NODE_TABLE_NAME, Table
 
 __all__ = [
-    "BPlusTree",
     "Database",
+    "DenseOrderError",
+    "NODE_TABLE_NAME",
     "StorageError",
-    "Column",
-    "ColumnType",
-    "TableSchema",
     "Table",
 ]

@@ -1,14 +1,23 @@
-"""Database catalog: named tables plus optional JSON persistence."""
+"""Database catalog: named node tables plus JSON persistence."""
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List
 
-from repro.storage.errors import StorageError, UnknownTableError
-from repro.storage.schema import Column, ColumnType, TableSchema
+from repro.storage.errors import SchemaError, StorageError, UnknownTableError
 from repro.storage.table import Table
+
+#: the column list every saved node table declares (the file format of
+#: the relational era, kept so files stay readable both ways)
+_COLUMNS = [
+    {"name": "pre", "type": "integer", "nullable": False},
+    {"name": "post", "type": "integer", "nullable": False},
+    {"name": "parent", "type": "integer", "nullable": False},
+    {"name": "share", "type": "int_list", "nullable": False},
+    {"name": "version", "type": "integer", "nullable": True},
+]
 
 
 class Database:
@@ -27,12 +36,11 @@ class Database:
     # Catalog operations
     # ------------------------------------------------------------------
 
-    def create_table(self, schema: TableSchema, btree_order: int = 64) -> Table:
-        """Create a table from a schema (error if the name is taken)."""
-        if schema.name in self._tables:
-            raise StorageError("table %r already exists" % schema.name)
-        table = Table(schema, btree_order=btree_order)
-        self._tables[schema.name] = table
+    def add_table(self, table: Table) -> Table:
+        """Adopt a built table under its name (error if the name is taken)."""
+        if table.name in self._tables:
+            raise StorageError("table %r already exists" % table.name)
+        self._tables[table.name] = table
         return table
 
     def drop_table(self, name: str) -> None:
@@ -59,23 +67,20 @@ class Database:
         return iter(self._tables.values())
 
     # ------------------------------------------------------------------
-    # Persistence (JSON) — optional convenience for examples
+    # Persistence (JSON)
     # ------------------------------------------------------------------
 
     def save(self, path: str) -> None:
-        """Serialise the whole database to a JSON file."""
+        """Serialise the whole database to a JSON file, rows in pre order."""
         payload: Dict[str, Any] = {"name": self.name, "tables": {}}
         for name, table in self._tables.items():
             payload["tables"][name] = {
-                "columns": [
-                    {"name": c.name, "type": c.type.value, "nullable": c.nullable}
-                    for c in table.schema.columns
-                ],
+                "columns": _COLUMNS,
                 "indexes": [
-                    {"column": column, "unique": table._unique.get(column, False)}
-                    for column in table.indexed_columns()
+                    {"column": column, "unique": column != "parent"}
+                    for column in sorted(table.index_columns)
                 ],
-                "rows": [_encode_row(row) for row in table],
+                "rows": list(table.rows()),
             }
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
@@ -89,59 +94,17 @@ class Database:
             payload = json.load(handle)
         database = cls(payload.get("name", "encrypted_xml"))
         for table_name, table_payload in payload.get("tables", {}).items():
-            columns = [
-                Column(
-                    name=column["name"],
-                    type=ColumnType(column["type"]),
-                    nullable=column.get("nullable", False),
+            names = {column["name"] for column in table_payload.get("columns", [])}
+            if not {"pre", "post", "parent", "share"} <= names:
+                raise SchemaError("table %r of %s is not a node table" % (table_name, path))
+            database.add_table(
+                Table.from_rows(
+                    table_payload.get("rows", []),
+                    name=table_name,
+                    index_columns=[index["column"] for index in table_payload.get("indexes", [])],
                 )
-                for column in table_payload["columns"]
-            ]
-            table = database.create_table(TableSchema(table_name, columns))
-            for index in table_payload.get("indexes", []):
-                table.create_index(index["column"], unique=index.get("unique", False))
-            for row in table_payload.get("rows", []):
-                table.insert(_decode_row(row, columns))
+            )
         return database
-
-    # ------------------------------------------------------------------
-    # Size accounting
-    # ------------------------------------------------------------------
-
-    def total_data_bytes(self, element_bytes: int = 1) -> int:
-        """Approximate payload bytes across all tables."""
-        return sum(table.data_bytes(element_bytes=element_bytes) for table in self)
-
-    def total_index_bytes(self) -> int:
-        """Approximate index bytes across all tables."""
-        return sum(table.index_bytes() for table in self)
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return "Database(%s, tables=%s)" % (self.name, self.table_names())
-
-
-def _encode_row(row: Dict[str, Any]) -> Dict[str, Any]:
-    """JSON-encode one row (bytes → hex, tuples → lists)."""
-    encoded = {}
-    for key, value in row.items():
-        if isinstance(value, bytes):
-            encoded[key] = {"__bytes__": value.hex()}
-        elif isinstance(value, tuple):
-            encoded[key] = list(value)
-        else:
-            encoded[key] = value
-    return encoded
-
-
-def _decode_row(row: Dict[str, Any], columns: Sequence[Column]) -> Dict[str, Any]:
-    """Inverse of :func:`_encode_row`."""
-    types = {column.name: column.type for column in columns}
-    decoded: Dict[str, Any] = {}
-    for key, value in row.items():
-        if isinstance(value, dict) and "__bytes__" in value:
-            decoded[key] = bytes.fromhex(value["__bytes__"])
-        elif types.get(key) is ColumnType.INT_LIST and isinstance(value, list):
-            decoded[key] = tuple(value)
-        else:
-            decoded[key] = value
-    return decoded

@@ -6,19 +6,12 @@ class StorageError(Exception):
 
 
 class SchemaError(StorageError):
-    """A row or column definition violates the table schema."""
-
-
-class DuplicateKeyError(StorageError):
-    """An insert violated a unique-key constraint."""
+    """A row does not have the node table's shape (a missing column, a
+    share vector of the wrong width, a value out of the column's range)."""
 
 
 class UnknownTableError(StorageError):
     """A referenced table does not exist in the database catalog."""
-
-
-class UnknownIndexError(StorageError):
-    """A referenced index does not exist on the table."""
 
 
 class WriteConflictError(StorageError):
@@ -45,3 +38,9 @@ class StaleVersionError(WriteConflictError):
         self.expected = expected
         #: version actually found
         self.found = found
+
+
+class DenseOrderError(WriteConflictError):
+    """A splice or load would leave the pre-order numbering with a gap, a
+    duplicate or a row past the end: rows are addressed by ``pre - 1``, so
+    the numbers must stay exactly ``1 .. len(table)``."""

@@ -205,6 +205,31 @@ class StreamingParser:
             raise XMLError("document had no root element")
 
 
+def replay(document: XMLDocument, handler: ContentHandler) -> None:
+    """Drive ``handler`` with the events of an in-memory document.
+
+    The events are those :class:`StreamingParser` emits for the document's
+    serialisation (text arrives as one ``characters`` call per text or tail
+    run), without writing the text out and scanning it back.
+    """
+    handler.start_document()
+    # An explicit stack avoids recursion limits on the deep trie documents.
+    stack: List[Tuple[XMLElement, bool]] = [(document.root, False)]
+    while stack:
+        node, closing = stack.pop()
+        if closing:
+            handler.end_element(node.tag)
+            if node.tail and stack:
+                handler.characters(node.tail)
+            continue
+        handler.start_element(node.tag, node.attributes)
+        if node.text:
+            handler.characters(node.text)
+        stack.append((node, True))
+        stack.extend((child, False) for child in reversed(node.children))
+    handler.end_document()
+
+
 def parse_string(text: str) -> XMLDocument:
     """Parse XML text into an :class:`XMLDocument`."""
     builder = TreeBuilder()

@@ -8,6 +8,7 @@ from repro.xmldoc.nodes import XMLDocument, XMLElement
 
 _ESCAPES_TEXT = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
 _ESCAPES_ATTR = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"}
+_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>\n'
 
 
 def escape_text(text: str) -> str:
@@ -31,7 +32,7 @@ def serialize(document: XMLDocument, declaration: bool = True) -> str:
     """Serialise a whole document, optionally with an XML declaration."""
     parts: List[str] = []
     if declaration:
-        parts.append('<?xml version="1.0" encoding="UTF-8"?>\n')
+        parts.append(_DECLARATION)
     _write_element(document.root, parts)
     parts.append("\n")
     return "".join(parts)
@@ -66,7 +67,29 @@ def document_byte_size(document: XMLDocument) -> int:
     """UTF-8 size in bytes of the serialised document.
 
     The encoding experiment (figure 4) plots output size against *input* XML
-    size; this helper provides the input-size axis for synthetic documents
-    without having to write them to disk.
+    size; this helper provides the input-size axis for in-memory documents.
+    It counts what :func:`serialize` would write, element by element,
+    without building the text.
     """
-    return len(serialize(document).encode("utf-8"))
+    total = len(_DECLARATION) + 1  # the declaration and the final newline
+    for node in document.root.iter():
+        tag = len(node.tag.encode("utf-8"))
+        attributes = sum(
+            len(name.encode("utf-8")) + 4 + _escaped_size(value, _ESCAPES_ATTR)
+            for name, value in node.attributes.items()
+        )
+        if not node.children and not node.text:
+            total += tag + attributes + 3  # <tag/>
+        else:
+            total += 2 * tag + attributes + 5 + _escaped_size(node.text, _ESCAPES_TEXT)
+        total += _escaped_size(node.tail, _ESCAPES_TEXT)
+    return total
+
+
+def _escaped_size(text: str, escapes: dict) -> int:
+    """UTF-8 size of ``text`` after escaping with ``escapes``."""
+    if not text:
+        return 0
+    return len(text.encode("utf-8")) + sum(
+        text.count(char) * (len(escaped) - 1) for char, escaped in escapes.items()
+    )

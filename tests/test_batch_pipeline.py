@@ -1,8 +1,8 @@
 """Tests for the batched query pipeline.
 
 Covers the server bulk endpoints (equivalence with N single calls, unknown
-``pre`` error behaviour, LRU share-cache accounting), the queue-drain and
-descendant-scan performance fixes, the batched client primitives' counter
+``pre`` error behaviour, column-only reads, the retired share-cache report),
+the queue-drain fix and subtree ranges, the batched client primitives' counter
 parity, and end-to-end engine equivalence between the batched and per-node
 remote protocols.
 """
@@ -23,6 +23,7 @@ from repro.filters.server import ServerFilter
 from repro.gf.factory import make_field
 from repro.gf.kernels import HAS_NUMPY
 from repro.metrics.counters import EvaluationCounters
+from repro.storage.table import Table
 from repro.xmldoc.parser import parse_string
 
 F83 = make_field(83)
@@ -65,45 +66,19 @@ class TestBulkEndpointEquivalence:
         first, second = server.children_of_many([1, 1])
         assert first == second and first is not second
 
-    def test_children_of_many_grouped_scan_bails_out_on_fanout(self, encoded):
-        """A big-fanout node *between* two requested parents must not make
-        the grouped parent-index pass scan its whole child list."""
+    def test_children_of_many_match_the_parent_column(self, encoded):
+        """Children come off the child-offset index in document order, and
+        the unindexed ablation's parent-column scan agrees with it."""
         database, _ = encoded
-
-        class CountingTable:
-            def __init__(self, table):
-                self._table = table
-                self.rows_examined = 0
-
-            def lookup(self, column, value):
-                return self._table.lookup(column, value)
-
-            def range_lookup(self, *args, **kwargs):
-                for row in self._table.range_lookup(*args, **kwargs):
-                    self.rows_examined += 1
-                    yield row
-
-            def __len__(self):
-                return len(self._table)
-
-        counting = CountingTable(database.node_table)
-        server = ServerFilter(counting, database.ring)
-        plain = ServerFilter(database.node_table, database.ring)
-        # Pick the biggest-fanout node and bracket it with its neighbours:
-        # the key range is tiny (dense heuristic fires) but the unrequested
-        # middle parent owns most of the rows in the range.
-        fanouts = {}
-        for row in database.node_table:
-            fanouts[row["parent"]] = fanouts.get(row["parent"], 0) + 1
-        fat_parent = max(fanouts, key=lambda pre: fanouts[pre])
-        pres = [fat_parent - 1, fat_parent + 1]
-        result = server.children_of_many(pres)
-        assert result == [plain.children_of(pre) for pre in pres]
-        # Whether the scan completed (small fanout) or bailed out to point
-        # lookups, it examines at most the wanted rows plus the waste budget.
-        budget = 4 * len(pres)  # _DENSE_SCAN_FACTOR
-        wanted_rows = sum(len(children) for children in result)
-        assert counting.rows_examined <= wanted_rows + budget + 1
+        table = database.node_table
+        server = ServerFilter(table, database.ring)
+        pres = list(range(0, len(table) + 2))
+        expected = [
+            [row["pre"] for row in table.rows() if row["parent"] == pre] for pre in pres
+        ]
+        assert server.children_of_many(pres) == expected
+        unindexed = Table.from_rows(table.rows(), index_columns=[])
+        assert ServerFilter(unindexed, database.ring).children_of_many(pres) == expected
 
     def test_descendants_of_many_match_singles(self, server):
         pres = [1, 2, 5, 999]
@@ -134,80 +109,46 @@ class TestBulkEndpointEquivalence:
         with pytest.raises(LookupError):
             server.fetch_shares_batch([1, 999])
 
-    def test_sparse_batch_uses_point_lookups(self, encoded):
-        """A sparse key set must not trigger a long range scan."""
+    def test_reads_never_materialise_row_objects(self, server, monkeypatch):
+        """Every read endpoint answers from the columns: no row dicts."""
 
-        class CountingTable:
-            def __init__(self, table):
-                self._table = table
-                self.rows_examined = 0
+        def refuse(*_):
+            raise AssertionError("a server read built a row object")
 
-            def lookup(self, column, value):
-                return self._table.lookup(column, value)
-
-            def range_lookup(self, *args, **kwargs):
-                for row in self._table.range_lookup(*args, **kwargs):
-                    self.rows_examined += 1
-                    yield row
-
-            def __len__(self):
-                return len(self._table)
-
-        database, _ = encoded
-        counting = CountingTable(database.node_table)
-        sparse_server = ServerFilter(counting, database.ring)
-        # Key span 999 for 2 keys: far below the density threshold, so the
-        # resolver must use point lookups, not a near-full range scan.
-        infos = sparse_server.node_infos([1, 999])
-        assert counting.rows_examined == 0
-        assert infos[0] is not None and infos[1] is None
+        monkeypatch.setattr(Table, "row", refuse)
+        monkeypatch.setattr(Table, "rows", refuse)
+        pres = [1, 2, 3, 4, 5, 6, 7]
+        assert len(server.node_infos(pres + [999])) == 8
+        assert server.children_of_many(pres)[0] == [2, 5]
+        assert server.descendants_of_many(pres)[0] == [2, 3, 4, 5, 6, 7]
+        assert len(server.evaluate_batch(pres, 5)) == 7
+        assert len(server.fetch_shares_batch(pres)) == 7
+        assert server.row_versions(pres + [999]) == [0] * 7 + [-1]
 
 
 class TestShareCacheAccounting:
-    def test_hits_accumulate_on_reuse(self, server):
-        info = server.share_cache_info()
-        assert info == {
+    """The decoded-share cache is gone; its report keys stay and read zero."""
+
+    def test_info_reads_zero_after_evaluations(self, server):
+        server.evaluate_batch([1, 2, 3], 5)
+        server.evaluate(4, 9)
+        assert server.share_cache_info() == {
             "hits": 0,
             "misses": 0,
             "size": 0,
-            "capacity": 256,
+            "capacity": 0,
             "backend": "numpy" if HAS_NUMPY else "prime",
         }
-        server.evaluate_batch([1, 2, 3], 5)
-        info = server.share_cache_info()
-        assert info["misses"] == 3 and info["hits"] == 0 and info["size"] == 3
-        server.evaluate_batch([1, 2, 3], 7)
-        info = server.share_cache_info()
-        assert info["hits"] == 3 and info["misses"] == 3
 
-    def test_single_evaluate_shares_the_cache(self, server):
-        server.evaluate(4, 5)
-        assert server.share_cache_info()["misses"] == 1
-        server.evaluate(4, 9)
-        assert server.share_cache_info()["hits"] == 1
-
-    def test_capacity_is_bounded(self, encoded):
+    def test_share_cache_size_is_a_no_op(self, encoded):
         database, _ = encoded
-        small = ServerFilter(database.node_table, database.ring, share_cache_size=2)
-        small.evaluate_batch([1, 2, 3, 4], 5)
-        info = small.share_cache_info()
-        assert info["size"] == 2 and info["capacity"] == 2
-        # Least-recently-used entries were evicted: re-evaluating 1 misses.
-        small.evaluate(1, 5)
-        assert small.share_cache_info()["misses"] == 5
-
-    def test_zero_capacity_disables_caching(self, encoded):
-        database, _ = encoded
-        uncached = ServerFilter(database.node_table, database.ring, share_cache_size=0)
-        uncached.evaluate(1, 5)
-        uncached.evaluate(1, 5)
-        assert uncached.share_cache_info()["size"] == 0
-        assert uncached.share_cache_info()["hits"] == 0
-
-    def test_negative_capacity_rejected(self, encoded):
-        database, _ = encoded
-        with pytest.raises(ValueError):
-            ServerFilter(database.node_table, database.ring, share_cache_size=-1)
+        results = [
+            ServerFilter(database.node_table, database.ring, share_cache_size=size).evaluate_batch(
+                [1, 2, 3, 4], 5
+            )
+            for size in (0, 2, 256)
+        ]
+        assert results[0] == results[1] == results[2]
 
 
 class TestQueueDrainIsLinear:
@@ -227,43 +168,22 @@ class TestQueueDrainIsLinear:
         assert elapsed < 2.0, "queue drain took %.2fs — not linear" % elapsed
 
 
-class TestDescendantScanIsSubtreeBounded:
-    def test_rows_examined_equals_subtree_size(self):
-        """Regression: descendants_of used to range-scan to the end of the
-        table; it must stop at the contiguous pre-order subtree boundary."""
-
-        class CountingTable:
-            def __init__(self, table):
-                self._table = table
-                self.rows_examined = 0
-
-            def lookup(self, column, value):
-                return self._table.lookup(column, value)
-
-            def range_lookup(self, *args, **kwargs):
-                for row in self._table.range_lookup(*args, **kwargs):
-                    self.rows_examined += 1
-                    yield row
-
-            def __len__(self):
-                return len(self._table)
-
+class TestDescendantsAreASubtreeRange:
+    def test_descendants_are_the_contiguous_subtree_range(self):
+        """A subtree is the pre range up to its last descendant, found down
+        the chain of last children — never by scanning to the table end."""
         # First child owns a 40-node subtree; 60 sibling leaves follow it.
         xml = "<a><b>" + "<c/>" * 40 + "</b>" + "<d/>" * 60 + "</a>"
         document = parse_string(xml)
         tag_map = TagMap.from_names(sorted(document.distinct_tags()), field=F83)
         encoded = Encoder(tag_map, SEED).encode_text(xml)
-        counting = CountingTable(encoded.node_table)
-        server = ServerFilter(counting, encoded.ring)
+        server = ServerFilter(encoded.node_table, encoded.ring)
+        assert server.descendants_of(2) == list(range(3, 43))  # the <b> node
+        assert server.descendants_of(43) == []  # a leaf
+        assert server.descendants_of(999) == []
 
-        descendants = server.descendants_of(2)  # the <b> node
-        assert len(descendants) == 40
-        # Subtree rows plus the single boundary row that ends the scan —
-        # nowhere near the 102-row table.
-        assert counting.rows_examined == len(descendants) + 1
-
-    def test_last_subtree_scans_to_table_end_without_boundary_row(self, server):
-        assert sorted(server.descendants_of(1)) == [2, 3, 4, 5, 6, 7]
+    def test_last_subtree_runs_to_the_table_end(self, server):
+        assert server.descendants_of(1) == [2, 3, 4, 5, 6, 7]
 
 
 class TestClientBatchPrimitives:

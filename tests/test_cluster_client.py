@@ -64,10 +64,10 @@ def _client(transport, deployment, **kwargs):
 
 
 def _corrupt(table, delta=7):
-    for row in table.scan():
-        coeffs = list(row["share"])
+    for pre in range(1, len(table) + 1):
+        coeffs = table.share_row(pre)
         coeffs[0] = (coeffs[0] + delta) % 83
-        row["share"] = coeffs
+        table.set_share(pre, coeffs)
 
 
 DEPLOYMENTS = [

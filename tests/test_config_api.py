@@ -48,13 +48,7 @@ def _node_rows(db):
         if hasattr(db.encoded, "node_tables")
         else [db.encoded.node_table]
     )
-    return [
-        sorted(
-            (dict(row, share=tuple(row["share"])) for row in table.scan()),
-            key=lambda row: row["pre"],
-        )
-        for table in tables
-    ]
+    return [list(table.rows()) for table in tables]
 
 
 class TestLegacyEquivalence:

@@ -98,7 +98,7 @@ class TestConfigurationOptions:
         database = EncryptedXMLDatabase.from_document(
             small_document, seed=SEED, index_columns=["pre", "parent"]
         )
-        assert database.encoded.node_table.indexed_columns() == ["parent", "pre"]
+        assert database.encoded.node_table.index_columns == ["pre", "parent"]
         assert database.query("/site/regions", strict=True).result_size == 1
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.encode.encoder import Encoder, NODE_TABLE_NAME, node_table_schema
+from repro.encode.encoder import Encoder, NODE_TABLE_NAME
 from repro.encode.tagmap import TagMap, TagMapError
 from repro.gf.factory import make_field
 from repro.poly.ring import QuotientRing, RingPolynomial
@@ -34,19 +34,19 @@ class TestRowLayout:
         xml = "<a><b><c/><d/></b><e><f/></e></a>"
         encoded, _ = _encode(xml)
         reference = PrePostNumbering(parse_string(xml))
-        rows = {row["pre"]: row for row in encoded.node_table}
+        rows = {row["pre"]: row for row in encoded.node_table.rows()}
         for node in reference:
             assert rows[node.pre]["post"] == node.post
             assert rows[node.pre]["parent"] == node.parent
 
     def test_share_vector_length_is_ring_length(self):
         encoded, _ = _encode("<a><b/></a>")
-        for row in encoded.node_table:
+        for row in encoded.node_table.rows():
             assert len(row["share"]) == encoded.ring.length
 
-    def test_indexes_created(self):
+    def test_default_index_columns(self):
         encoded, _ = _encode("<a><b/></a>")
-        assert sorted(encoded.node_table.indexed_columns()) == ["parent", "post", "pre"]
+        assert sorted(encoded.node_table.index_columns) == ["parent", "post", "pre"]
 
     def test_unknown_tag_raises(self):
         tag_map = TagMap(F83, {"a": 1})
@@ -62,7 +62,7 @@ class TestRowLayout:
 class TestPolynomialCorrectness:
     def _reconstruct(self, encoded, pre):
         sharing = encoded.sharing
-        row = encoded.node_table.lookup("pre", pre)[0]
+        row = encoded.node_table.row(pre)
         server_share = RingPolynomial(encoded.ring, row["share"])
         return sharing.reconstruct(server_share, pre)
 
@@ -105,7 +105,7 @@ class TestPolynomialCorrectness:
 
     def test_server_share_differs_from_polynomial(self):
         encoded, tag_map = _encode("<a><b/></a>")
-        row = encoded.node_table.lookup("pre", 1)[0]
+        row = encoded.node_table.row(1)
         server_share = RingPolynomial(encoded.ring, row["share"])
         assert server_share != self._reconstruct(encoded, 1)
 
@@ -115,12 +115,12 @@ class TestPolynomialCorrectness:
         tag_map = TagMap.from_names(sorted(document.distinct_tags()), field=F83)
         one = Encoder(tag_map, b"seed-one-000000000000000000000000").encode_text(xml)
         two = Encoder(tag_map, b"seed-two-000000000000000000000000").encode_text(xml)
-        assert one.node_table.lookup("pre", 1)[0]["share"] != two.node_table.lookup("pre", 1)[0]["share"]
+        assert one.node_table.row(1)["share"] != two.node_table.row(1)["share"]
         # ... but both decode to the same polynomial.
         sharing_one = one.sharing
         sharing_two = two.sharing
-        poly_one = sharing_one.reconstruct(RingPolynomial(one.ring, one.node_table.lookup("pre", 1)[0]["share"]), 1)
-        poly_two = sharing_two.reconstruct(RingPolynomial(two.ring, two.node_table.lookup("pre", 1)[0]["share"]), 1)
+        poly_one = sharing_one.reconstruct(RingPolynomial(one.ring, one.node_table.row(1)["share"]), 1)
+        poly_two = sharing_two.reconstruct(RingPolynomial(two.ring, two.node_table.row(1)["share"]), 1)
         assert poly_one == poly_two
 
     def test_small_field_paper_example(self):
@@ -131,7 +131,7 @@ class TestPolynomialCorrectness:
         encoded = encoder.encode_text(xml)
         ring = encoded.ring
         sharing = encoded.sharing
-        row = encoded.node_table.lookup("pre", 1)[0]
+        row = encoded.node_table.row(1)
         root_poly = sharing.reconstruct(RingPolynomial(ring, row["share"]), 1)
         # The root polynomial vanishes at 1, 2, 3 and not at 4.
         assert ring.evaluate(root_poly, 1) == 0
@@ -165,8 +165,50 @@ class TestStats:
         tag_map = TagMap.from_names(XMARK_DTD.element_names(), field=F83)
         by_document = Encoder(tag_map, SEED).encode_document(small_document)
         by_text = Encoder(tag_map, SEED).encode_text(serialize(small_document))
-        assert len(by_document.node_table) == len(by_text.node_table)
-        assert by_document.node_table.lookup("pre", 1)[0]["share"] == by_text.node_table.lookup("pre", 1)[0]["share"]
+        assert list(by_document.node_table.rows()) == list(by_text.node_table.rows())
+        for stats in (by_document.stats, by_text.stats):
+            assert stats.input_bytes == len(serialize(small_document).encode("utf-8"))
+        assert by_document.stats.index_bytes == by_text.stats.index_bytes
+
+    def test_stats_pinned_on_the_598_node_document(self):
+        """The Fig. 4 sizes, index-size model included, as the B+-tree
+        store reported them."""
+        from repro.xmark.generator import generate_document
+        from repro.xmldoc.dtd import XMARK_DTD
+
+        document = generate_document(scale=0.05, seed=4242)
+        tag_map = TagMap.from_names(XMARK_DTD.element_names(), field=F83)
+        stats = Encoder(tag_map, SEED).encode_document(document).stats
+        sizes = (stats.node_count, stats.input_bytes, stats.payload_bytes)
+        assert sizes == (598, 21748, 49036)
+        assert (stats.structure_bytes, stats.index_bytes) == (7176, 26120)
+        fleet = Encoder(tag_map, SEED).deploy_document(
+            document, servers=3, threshold=2, sharing="shamir"
+        ).stats
+        assert (fleet.payload_bytes, fleet.structure_bytes, fleet.index_bytes) == (
+            147108,
+            21528,
+            78360,
+        )
+
+    def test_document_path_never_serialises(self, small_document, monkeypatch):
+        """Encoding a parsed document replays its tree into the encoder:
+        no text is written out and parsed back."""
+        from repro.core.config import ClusterConfig, DatabaseConfig, FieldConfig
+        from repro.core.database import EncryptedXMLDatabase
+        from repro.xmldoc import serializer
+        from repro.xmldoc.dtd import XMARK_DTD
+
+        def refuse(*_):
+            raise AssertionError("the document was serialised")
+
+        monkeypatch.setattr(serializer, "_write_element", refuse)
+        field = FieldConfig(tag_names=XMARK_DTD.element_names(), seed=SEED, p=83)
+        for cluster in (ClusterConfig(), ClusterConfig(servers=3, threshold=2, sharing="shamir")):
+            database = EncryptedXMLDatabase.from_document(
+                small_document, config=DatabaseConfig(field=field, cluster=cluster)
+            )
+            assert database.node_count == small_document.element_count()
 
     def test_encode_file(self, tmp_path, small_document):
         from repro.xmldoc.dtd import XMARK_DTD
@@ -177,15 +219,17 @@ class TestStats:
         encoded = Encoder(tag_map, SEED).encode_file(str(path))
         assert len(encoded.node_table) == small_document.element_count()
 
-    def test_node_table_schema(self):
-        schema = node_table_schema()
-        assert schema.name == NODE_TABLE_NAME
-        assert schema.column_names() == ["pre", "post", "parent", "share", "version"]
-        assert schema.column("version").nullable
+    def test_node_table_layout(self):
+        encoded, _ = _encode("<a><b/><c/></a>")
+        table = encoded.node_table
+        assert table.name == NODE_TABLE_NAME
+        assert table.width == encoded.ring.length
+        assert table.shares.typecode == "B"  # one byte per F_83 coefficient
+        assert len(table.shares) == 3 * table.width
 
     def test_custom_index_columns(self):
         xml = "<a><b/></a>"
         document = parse_string(xml)
         tag_map = TagMap.from_names(sorted(document.distinct_tags()), field=F83)
         encoded = Encoder(tag_map, SEED, index_columns=["parent"]).encode_text(xml)
-        assert encoded.node_table.indexed_columns() == ["parent"]
+        assert encoded.node_table.index_columns == ["parent"]

@@ -15,7 +15,11 @@ Every test that needs a live numpy skips cleanly when the optional
 ``repro[fast]`` extra is not installed — the suite must pass either way.
 """
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gf import kernels
 from repro.gf.base import FieldError
@@ -76,6 +80,82 @@ class TestOverflowGuards:
         with pytest.raises(FieldError):
             kernels.NumpyPrimeKernel(field)
         assert kernels.make_numpy_kernel(field).name == "prime"
+
+
+#: primes whose int64 bound ``width * (p-1)^2 < 2^63`` falls at a small width
+_BOUNDARY_PRIMES = (MAX_NUMPY_PRIME, 2**30 - 35, 2**29 - 3, 2**28 - 57)
+_BOUNDARY_FIELDS = {}
+
+
+def _boundary_width(p):
+    """The narrowest row whose dot product could overflow int64."""
+    return -(-(2**63) // (p - 1) ** 2)
+
+
+@needs_numpy
+class TestHornerMatVec:
+    """``horner_many`` is one mat-vec below the int64 bound and the column
+    sweep at and above it; both must equal the big-int prime kernel."""
+
+    @given(
+        data=st.data(),
+        p=st.sampled_from(_BOUNDARY_PRIMES),
+        offset=st.sampled_from((-1, 0, 1)),
+        rows=st.integers(1, 5),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_prime_kernel_at_the_overflow_boundary(self, data, p, offset, rows):
+        width = _boundary_width(p) + offset
+        assert (width * (p - 1) ** 2 < 2**63) == (offset < 0)
+        field = _BOUNDARY_FIELDS.setdefault(p, PrimeField(p))
+        # biased towards p - 1, where the dot products are largest
+        coefficient = st.one_of(st.just(p - 1), st.integers(0, p - 1))
+        row = st.lists(coefficient, min_size=width, max_size=width)
+        matrix = data.draw(st.lists(row, min_size=rows, max_size=rows))
+        point = data.draw(st.integers(1, p - 1))
+        expected = PrimeKernel(field).horner_many(matrix, point)
+        assert kernels.NumpyPrimeKernel(field).horner_many(matrix, point) == expected
+
+    @pytest.mark.parametrize("p", _BOUNDARY_PRIMES)
+    @pytest.mark.parametrize("offset", (-1, 0, 1))
+    def test_largest_coefficients(self, p, offset):
+        field = _BOUNDARY_FIELDS.setdefault(p, PrimeField(p))
+        matrix = [[p - 1] * (_boundary_width(p) + offset)] * 2
+        for point in (2, p // 2, p - 2, p - 1):
+            expected = PrimeKernel(field).horner_many(matrix, point)
+            assert kernels.NumpyPrimeKernel(field).horner_many(matrix, point) == expected
+
+    def test_an_overflowing_dot_product_is_still_exact(self):
+        # Four coefficients of p - 1 at p = 2^31 - 1 against a point whose
+        # powers are large: the dot product passes 2^63, so only the
+        # column sweep gets it right.
+        p = MAX_NUMPY_PRIME
+        field = _BOUNDARY_FIELDS.setdefault(p, PrimeField(p))
+        width = _boundary_width(p) + 1
+        draws = random.Random(0)
+        point = next(
+            x
+            for x in (draws.randrange(2, p) for _ in range(1000))
+            if (p - 1) * sum(pow(x, i, p) for i in range(width)) >= 2**63
+        )
+        matrix = [[p - 1] * width]
+        expected = PrimeKernel(field).horner_many(matrix, point)
+        assert kernels.NumpyPrimeKernel(field).horner_many(matrix, point) == expected
+
+    def test_gathered_share_rows_match_the_list_kernel(self):
+        from array import array
+
+        field = make_field(83)
+        block = array("B", [(7 * i) % 83 for i in range(5 * 82)])
+        rows = [4, 0, 2, 2]
+        gathered = make_kernel(field, "numpy").gather_rows(block, 82, rows)
+        assert gathered.dtype.name == "int64"
+        listed = PrimeKernel(field).gather_rows(block, 82, rows)
+        assert gathered.tolist() == [list(row) for row in listed]
+        for point in (1, 5, 82):
+            assert make_kernel(field, "numpy").horner_many(gathered, point) == (
+                PrimeKernel(field).horner_many(listed, point)
+            )
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +253,7 @@ class TestDtypeStability:
             encoded = Encoder(tag_map, b"dtype-prg-seed-00").encode_text("<a><b/></a>")
         finally:
             set_default_backend(None)
-        for row in encoded.node_table:
+        for row in encoded.node_table.rows():
             assert type(row["pre"]) is int
             share = row["share"]
             assert type(share) is tuple
@@ -284,7 +364,7 @@ class TestEndToEndDifferential:
                 encoded = encoder.encode_text(self._DOC)
                 rows = sorted(
                     (row["pre"], row["post"], row["parent"], tuple(row["share"]))
-                    for row in encoded.node_table
+                    for row in encoded.node_table.rows()
                 )
                 server = ServerFilter(encoded.node_table, encoded.ring)
                 client = ClientFilter(server, encoded.sharing, tag_map)

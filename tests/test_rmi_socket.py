@@ -208,6 +208,15 @@ def test_error_codec_roundtrip():
     assert isinstance(decode_exception("garbage"), WireProtocolError)
 
 
+def test_write_path_errors_cross_the_wire_typed():
+    from repro.storage.errors import DenseOrderError, StaleVersionError, WriteConflictError
+
+    for error in [WriteConflictError("a"), StaleVersionError("b"), DenseOrderError("c")]:
+        rebuilt = decode_exception(encode_exception(error))
+        assert type(rebuilt) is type(error)
+        assert isinstance(rebuilt, WriteConflictError)
+
+
 def test_failed_calls_record_zero_response_bytes(client):
     outcome = client.invoke_detailed("lookup_fail")
     assert not outcome.ok

@@ -95,7 +95,7 @@ def test_server_process_handshake_and_protocol(tmp_path):
             infos = transport.invoke(0, "node_infos", ([root],))
             assert infos[0]["pre"] == root
             shares = transport.invoke(0, "fetch_shares_batch", ([root],))
-            assert shares == [list(deployment.node_table.lookup("pre", root)[0]["share"])]
+            assert shares == [deployment.node_table.share_row(root)]
             with pytest.raises(LookupError):
                 transport.invoke(0, "fetch_share", (10**6,))
         finally:
@@ -362,7 +362,7 @@ def test_chaos_flag_gates_the_wire_fault_injector():
     from repro.rmi.socket import UnknownRemoteMethodError
 
     deployment = _deployment()
-    root = deployment.node_table.lookup("parent", 0)[0]["pre"]
+    root = deployment.node_table.children(0)[0]
     with SocketCluster.from_deployment(deployment, chaos=True) as cluster:
         transport = cluster.cluster_transport()
         try:

@@ -1,191 +1,208 @@
-"""Tests for table schemas, heap tables and the database catalog."""
+"""Tests for the columnar node table, its index-size model and the catalog."""
+
+import gc
+import json
 
 import pytest
 
 from repro.storage.database import Database
-from repro.storage.errors import DuplicateKeyError, SchemaError, StorageError, UnknownIndexError, UnknownTableError
-from repro.storage.schema import Column, ColumnType, TableSchema
-from repro.storage.table import Table
+from repro.storage.errors import DenseOrderError, SchemaError, StorageError, UnknownTableError
+from repro.storage.table import Table, btree_index_bytes, share_typecode
 
 
-def node_schema():
-    return TableSchema(
-        "nodes",
+def tracked_objects(root) -> int:
+    """How many objects the garbage collector tracks under ``root``
+    (types and what they reference are shared, so not followed)."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type) or not gc.is_tracked(obj):
+            continue
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return len(seen)
+
+
+def _rows():
+    # <a><b><c/></b><d/></a>: pre order a=1, b=2, c=3, d=4
+    return [
+        {"pre": 1, "post": 4, "parent": 0, "share": (1, 2)},
+        {"pre": 2, "post": 2, "parent": 1, "share": (3, 4)},
+        {"pre": 3, "post": 1, "parent": 2, "share": (5, 6)},
+        {"pre": 4, "post": 3, "parent": 1, "share": (7, 8), "version": 2},
+    ]
+
+
+@pytest.fixture()
+def table():
+    return Table.from_rows(reversed(_rows()))
+
+
+class TestLayout:
+    def test_narrowest_share_typecode(self):
+        assert share_typecode(82) == "B"  # F_83
+        assert share_typecode(255) == "B"
+        assert share_typecode(256) == "H"
+        assert share_typecode(65535) == "H"
+        assert share_typecode(65536) in ("I", "L")
+
+    def test_rows_round_trip_in_pre_order(self, table):
+        assert list(table.rows()) == _rows()
+        assert len(table) == 4 and table.width == 2
+        assert table.shares.typecode == "B"
+        assert table.row(4)["version"] == 2 and "version" not in table.row(1)
+
+    def test_columns_are_arrays_addressed_by_pre(self, table):
+        assert table.post.tolist() == [4, 2, 1, 3]
+        assert table.parent.tolist() == [0, 1, 2, 1]
+        assert table.version.tolist() == [0, 0, 0, 2]
+        assert table.shares.tolist() == [1, 2, 3, 4, 5, 6, 7, 8]
+
+    def test_store_holds_no_per_row_objects(self):
+        # a thousand rows cost the garbage collector exactly what four do:
+        # the columns are flat arrays, not one object per row
+        small = Table.from_rows(_rows())
+        rows = [
+            {"pre": pre, "post": 1001 - pre, "parent": pre - 1, "share": (pre % 7, 1)}
+            for pre in range(1, 1001)
+        ]
+        large = Table.from_rows(rows)
+        for table in (small, large):
+            table.children(1)
+        assert tracked_objects(large) == tracked_objects(small) < 20
+
+    def test_unknown_rows_raise(self, table):
+        with pytest.raises(LookupError):
+            table.row(0)
+        with pytest.raises(LookupError):
+            table.share_row(5)
+
+    def test_non_dense_rows_rejected(self):
+        rows = _rows()
+        rows[3] = dict(rows[3], pre=5)
+        with pytest.raises(DenseOrderError):
+            Table.from_rows(rows)
+        rows = _rows()
+        rows[1] = dict(rows[1], parent=3)  # a parent after its child
+        with pytest.raises(DenseOrderError):
+            Table.from_rows(rows)
+
+    def test_malformed_rows_rejected(self):
+        with pytest.raises(SchemaError):
+            Table.from_rows([{"pre": 1, "post": 1, "parent": 0}])
+        with pytest.raises(SchemaError):
+            Table.from_rows([{"pre": 1, "post": 1, "parent": 0, "share": (1, 300)}])
+        rows = _rows()
+        rows[1] = dict(rows[1], share=(3,))
+        with pytest.raises(SchemaError):
+            Table.from_rows(rows)
+
+    def test_unknown_index_column_rejected(self):
+        with pytest.raises(SchemaError):
+            Table(index_columns=["missing"])
+
+
+class TestStructure:
+    def test_children_in_document_order(self, table):
+        assert table.children(0) == [1]
+        assert table.children(1) == [2, 4]
+        assert table.children(3) == [] and table.children(99) == []
+        assert table.children_many([1, 2, 99, 0]) == [[2, 4], [3], [], [1]]
+
+    def test_unindexed_parent_scan_agrees(self, table):
+        scanned = Table.from_rows(table.rows(), index_columns=[])
+        for pre in range(0, 6):
+            assert scanned.children(pre) == table.children(pre)
+
+    def test_subtree_end_follows_last_children(self, table):
+        assert [table.subtree_end(pre) for pre in (1, 2, 3, 4)] == [4, 3, 3, 4]
+
+    def test_set_share_in_place(self, table):
+        table.set_share(3, [9, 9])
+        assert table.share_row(3) == [9, 9]
+        with pytest.raises(SchemaError):
+            table.set_share(3, [1])
+
+
+class TestPlaceAndSplice:
+    def test_place_scatters_rows_closed_in_post_order(self):
+        table = Table(width=2)
+        table.place([3, 2], [1, 2], [2, 1], [[5, 6], [3, 4]])
+        table.place([4, 1], [3, 4], [1, 0], [[7, 8], [1, 2]])
+        # the bulk load writes version 0 everywhere
+        expected = [{k: v for k, v in row.items() if k != "version"} for row in _rows()]
+        assert list(table.rows()) == expected
+
+    def test_splice_rewrites_renumbers_and_grows(self, table):
+        count = table.splice(
+            [(4, 5, 1, (0, 0), 3), (5, 4, 1, (1, 1), 3)], moved=[(2, 3, 1)]
+        )
+        assert count == 5 and len(table) == 5
+        assert table.row(5) == {"pre": 5, "post": 4, "parent": 1, "share": (1, 1), "version": 3}
+        assert table.row(2)["post"] == 3 and table.row(2)["share"] == (3, 4)
+        assert table.children(1) == [2, 4, 5]
+
+    def test_splice_shrinks_at_the_end(self, table):
+        assert table.splice([(1, 3, 0, (0, 0), 1)], moved=[(2, 2, 1)], deleted=[4]) == 3
+        assert [row["pre"] for row in table.rows()] == [1, 2, 3]
+        assert table.children(1) == [2]
+
+    def test_splice_swaps_columns_instead_of_resizing(self, table):
+        old_shares = table.shares
+        view = memoryview(old_shares)  # an exported buffer forbids resizing
+        table.splice([(5, 5, 1, (1, 1), 1)])
+        assert old_shares.tolist() == [1, 2, 3, 4, 5, 6, 7, 8]
+        assert len(table.shares) == 10
+        view.release()
+
+    @pytest.mark.parametrize(
+        "written, moved, deleted",
         [
-            Column("pre", ColumnType.INTEGER),
-            Column("post", ColumnType.INTEGER),
-            Column("parent", ColumnType.INTEGER),
-            Column("share", ColumnType.INT_LIST),
+            ([(6, 5, 1, (1, 1), 1)], (), ()),  # a gap at pre 5
+            ([], (), [2]),  # a hole in the middle
+            ([(5, 5, 1, (1, 1), 1)], (), [4]),  # grow and shrink at once
+            ([(2, 2, 1, (1, 1), 1), (2, 2, 1, (1, 1), 1)], (), ()),  # duplicate
+            ([], [(9, 1, 0)], ()),  # renumbering a row that is not there
+            ([], [(4, 1, 0)], [4]),  # renumbering a deleted row
+            ([(3, 1, 3, (1, 1), 1)], (), ()),  # a row as its own parent
+            ([], [(2, 2, 4)], ()),  # a parent after its child
         ],
     )
+    def test_splice_refuses_non_dense_results(self, table, written, moved, deleted):
+        before = list(table.rows())
+        with pytest.raises(DenseOrderError):
+            table.splice(written, moved, deleted)
+        assert list(table.rows()) == before
 
 
-class TestSchema:
-    def test_empty_schema_rejected(self):
-        with pytest.raises(SchemaError):
-            TableSchema("t", [])
-        with pytest.raises(SchemaError):
-            TableSchema("", [Column("a", ColumnType.INTEGER)])
+class TestIndexSizeModel:
+    def test_pinned_to_ascending_b_plus_tree_inserts(self):
+        # sizes a B+-tree of that order reached after ascending inserts
+        assert btree_index_bytes(54533, 54533, 64) == 900192
+        assert btree_index_bytes(5512, 5512, 64) == 90976
+        assert btree_index_bytes(1000, 3000, 4) == 41992
+        assert btree_index_bytes(200, 200, 3) == 7920
+        assert btree_index_bytes(10, 12, 64) == 8 * 22  # one leaf
 
-    def test_duplicate_columns_rejected(self):
-        with pytest.raises(SchemaError):
-            TableSchema("t", [Column("a", ColumnType.INTEGER), Column("a", ColumnType.TEXT)])
-
-    def test_column_lookup(self):
-        schema = node_schema()
-        assert schema.column("pre").type is ColumnType.INTEGER
-        assert "share" in schema
-        with pytest.raises(SchemaError):
-            schema.column("missing")
-
-    def test_validate_row_happy_path(self):
-        row = node_schema().validate_row({"pre": 1, "post": 2, "parent": 0, "share": [1, 2, 3]})
-        assert row["share"] == (1, 2, 3)
-
-    def test_validate_row_unknown_column(self):
-        with pytest.raises(SchemaError):
-            node_schema().validate_row({"pre": 1, "post": 2, "parent": 0, "share": [], "oops": 1})
-
-    def test_validate_row_missing_non_nullable(self):
-        with pytest.raises(SchemaError):
-            node_schema().validate_row({"pre": 1})
-
-    def test_nullable_column(self):
-        schema = TableSchema("t", [Column("a", ColumnType.INTEGER), Column("b", ColumnType.TEXT, nullable=True)])
-        # an absent nullable column stays absent (keeps serialised rows
-        # byte-identical when optional columns are added to a schema later)
-        assert "b" not in schema.validate_row({"a": 1})
-        # an explicit None is kept as None
-        assert schema.validate_row({"a": 1, "b": None})["b"] is None
-
-    def test_type_validation(self):
-        schema = node_schema()
-        with pytest.raises(SchemaError):
-            schema.validate_row({"pre": "1", "post": 2, "parent": 0, "share": []})
-        with pytest.raises(SchemaError):
-            schema.validate_row({"pre": True, "post": 2, "parent": 0, "share": []})
-        with pytest.raises(SchemaError):
-            schema.validate_row({"pre": 1, "post": 2, "parent": 0, "share": ["x"]})
-
-    def test_blob_and_float_columns(self):
-        schema = TableSchema("t", [Column("b", ColumnType.BLOB), Column("f", ColumnType.FLOAT)])
-        row = schema.validate_row({"b": bytearray(b"abc"), "f": 3})
-        assert row["b"] == b"abc"
-        assert row["f"] == 3.0
-        with pytest.raises(SchemaError):
-            schema.validate_row({"b": "text", "f": 1.0})
-
-    def test_estimated_bytes(self):
-        integer = Column("a", ColumnType.INTEGER)
-        int_list = Column("l", ColumnType.INT_LIST)
-        text = Column("t", ColumnType.TEXT)
-        assert integer.estimated_bytes(5) == 4
-        assert int_list.estimated_bytes((1, 2, 3), element_bytes=2) == 6
-        assert text.estimated_bytes("héllo") == len("héllo".encode("utf-8"))
-        assert integer.estimated_bytes(None) == 0
-
-
-class TestTable:
-    def test_insert_and_lookup_without_index(self):
-        table = Table(node_schema())
-        table.insert({"pre": 1, "post": 3, "parent": 0, "share": [1]})
-        table.insert({"pre": 2, "post": 1, "parent": 1, "share": [2]})
-        table.insert({"pre": 3, "post": 2, "parent": 1, "share": [3]})
-        assert len(table) == 3
-        assert [row["pre"] for row in table.lookup("parent", 1)] == [2, 3]
-        assert table.lookup("pre", 99) == []
-
-    def test_indexed_lookup(self):
-        table = Table(node_schema(), btree_order=4)
-        table.create_index("parent")
-        for pre in range(1, 30):
-            table.insert({"pre": pre, "post": pre, "parent": pre // 2, "share": []})
-        assert sorted(row["pre"] for row in table.lookup("parent", 3)) == [6, 7]
-        assert table.has_index("parent")
-        assert table.indexed_columns() == ["parent"]
-
-    def test_index_backfills_existing_rows(self):
-        table = Table(node_schema())
-        table.insert({"pre": 1, "post": 1, "parent": 0, "share": []})
-        table.insert({"pre": 2, "post": 2, "parent": 1, "share": []})
-        table.create_index("pre", unique=True)
-        assert table.lookup("pre", 2)[0]["post"] == 2
-
-    def test_unique_index_violation_on_insert(self):
-        table = Table(node_schema())
-        table.create_index("pre", unique=True)
-        table.insert({"pre": 1, "post": 1, "parent": 0, "share": []})
-        with pytest.raises(DuplicateKeyError):
-            table.insert({"pre": 1, "post": 2, "parent": 0, "share": []})
-
-    def test_unique_index_violation_on_backfill(self):
-        table = Table(node_schema())
-        table.insert({"pre": 1, "post": 1, "parent": 0, "share": []})
-        table.insert({"pre": 1, "post": 2, "parent": 0, "share": []})
-        with pytest.raises(DuplicateKeyError):
-            table.create_index("pre", unique=True)
-
-    def test_create_index_unknown_column(self):
-        with pytest.raises(SchemaError):
-            Table(node_schema()).create_index("missing")
-
-    def test_index_lookup_missing_index(self):
-        with pytest.raises(UnknownIndexError):
-            Table(node_schema()).index("pre")
-
-    def test_range_lookup_indexed_and_unindexed_agree(self):
-        indexed = Table(node_schema())
-        indexed.create_index("pre")
-        unindexed = Table(node_schema())
-        for pre in (5, 1, 9, 3, 7):
-            row = {"pre": pre, "post": pre, "parent": 0 if pre == 1 else 1, "share": []}
-            indexed.insert(dict(row))
-            unindexed.insert(dict(row))
-        expected = [row["pre"] for row in unindexed.range_lookup("pre", 3, 8)]
-        got = [row["pre"] for row in indexed.range_lookup("pre", 3, 8)]
-        assert expected == got == [3, 5, 7]
-
-    def test_scan_with_predicate(self):
-        table = Table(node_schema())
-        for pre in range(1, 6):
-            table.insert({"pre": pre, "post": pre, "parent": 0 if pre == 1 else 1, "share": []})
-        assert len(list(table.scan(lambda row: row["parent"] == 1))) == 4
-        assert len(list(table.scan())) == 5
-
-    def test_insert_many(self):
-        table = Table(node_schema())
-        count = table.insert_many(
-            {"pre": pre, "post": pre, "parent": 0, "share": []} for pre in range(1, 4)
-        )
-        assert count == 3 and len(table) == 3
-
-    def test_row_access_by_id(self):
-        table = Table(node_schema())
-        row_id = table.insert({"pre": 1, "post": 1, "parent": 0, "share": [7]})
-        assert table.row(row_id)["share"] == (7,)
-
-    def test_size_accounting(self):
-        table = Table(node_schema())
-        table.create_index("pre")
-        table.insert({"pre": 1, "post": 1, "parent": 0, "share": [1] * 82})
-        assert table.column_bytes("share", element_bytes=1) == 82
-        assert table.data_bytes(element_bytes=1) == 82 + 3 * 4
-        assert table.index_bytes() > 0
+    def test_table_sums_its_index_columns(self, table):
+        unique = btree_index_bytes(4, 4, 64)
+        assert table.index_bytes() == 2 * unique + btree_index_bytes(3, 4, 64)
+        assert Table.from_rows(table.rows(), index_columns=[]).index_bytes() == 0
 
 
 class TestDatabase:
     def test_create_and_lookup(self):
         database = Database("test")
-        table = database.create_table(node_schema())
+        table = database.add_table(Table())
         assert database.table("nodes") is table
         assert "nodes" in database
         assert database.table_names() == ["nodes"]
 
     def test_duplicate_table_rejected(self):
         database = Database()
-        database.create_table(node_schema())
+        database.add_table(Table())
         with pytest.raises(StorageError):
-            database.create_table(node_schema())
+            database.add_table(Table())
 
     def test_unknown_table(self):
         with pytest.raises(UnknownTableError):
@@ -195,39 +212,40 @@ class TestDatabase:
 
     def test_drop_table(self):
         database = Database()
-        database.create_table(node_schema())
+        database.add_table(Table())
         database.drop_table("nodes")
         assert "nodes" not in database
 
-    def test_persistence_roundtrip(self, tmp_path):
+    def test_persistence_roundtrip(self, tmp_path, table):
         database = Database("persisted")
-        table = database.create_table(node_schema())
-        table.create_index("pre", unique=True)
-        table.create_index("parent")
-        for pre in range(1, 6):
-            table.insert({"pre": pre, "post": 6 - pre, "parent": 0 if pre == 1 else 1, "share": [pre, pre + 1]})
+        database.add_table(table)
         path = str(tmp_path / "db.json")
         database.save(path)
+        payload = json.loads(open(path).read())["tables"]["nodes"]
+        assert [column["name"] for column in payload["columns"]] == [
+            "pre", "post", "parent", "share", "version"
+        ]
+        assert payload["indexes"] == [
+            {"column": "parent", "unique": False},
+            {"column": "post", "unique": True},
+            {"column": "pre", "unique": True},
+        ]
+        loaded = Database.load(path).table("nodes")
+        assert list(loaded.rows()) == _rows()
+        assert loaded.index_columns == ["parent", "post", "pre"]
 
-        loaded = Database.load(path)
-        loaded_table = loaded.table("nodes")
-        assert len(loaded_table) == 5
-        assert loaded_table.lookup("pre", 3)[0]["share"] == (3, 4)
-        assert loaded_table.has_index("parent")
-        assert [row["pre"] for row in loaded_table.lookup("parent", 1)] == [2, 3, 4, 5]
+    def test_rows_of_any_order_load(self, tmp_path):
+        path = tmp_path / "db.json"
+        payload = {"name": "x", "tables": {"nodes": {
+            "columns": [{"name": name} for name in ("pre", "post", "parent", "share")],
+            "indexes": [],
+            "rows": [dict(row, share=list(row["share"])) for row in reversed(_rows())],
+        }}}
+        path.write_text(json.dumps(payload))
+        assert list(Database.load(str(path)).table("nodes").rows()) == _rows()
 
-    def test_persistence_of_blob_columns(self, tmp_path):
-        schema = TableSchema("blobs", [Column("id", ColumnType.INTEGER), Column("data", ColumnType.BLOB)])
-        database = Database()
-        database.create_table(schema).insert({"id": 1, "data": b"\x00\xffbinary"})
-        path = str(tmp_path / "blob.json")
-        database.save(path)
-        assert Database.load(path).table("blobs").lookup("id", 1)[0]["data"] == b"\x00\xffbinary"
-
-    def test_total_sizes(self):
-        database = Database()
-        table = database.create_table(node_schema())
-        table.create_index("pre")
-        table.insert({"pre": 1, "post": 1, "parent": 0, "share": [1, 2, 3]})
-        assert database.total_data_bytes() > 0
-        assert database.total_index_bytes() > 0
+    def test_non_node_tables_rejected(self, tmp_path):
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps({"tables": {"blobs": {"columns": [{"name": "id"}], "rows": []}}}))
+        with pytest.raises(SchemaError):
+            Database.load(str(path))

@@ -31,7 +31,7 @@ from repro.rmi.cache import GatewayCache
 from repro.rmi.codec import Codec
 from repro.rmi.supervisor import FleetSupervisor
 from repro.rmi.write import WriteCoordinator, WriteError, WriteJournal
-from repro.storage.errors import StaleVersionError, WriteConflictError
+from repro.storage.errors import DenseOrderError, StaleVersionError, WriteConflictError
 from repro.xmldoc.parser import parse_string
 
 XML = (
@@ -63,10 +63,7 @@ def _db(**write_kwargs):
 
 
 def _rows(table):
-    return sorted(
-        (dict(row, share=tuple(row["share"])) for row in table.scan()),
-        key=lambda row: row["pre"],
-    )
+    return list(table.rows())
 
 
 def _assert_fleet_matches_oracle(db):
@@ -78,7 +75,7 @@ def _assert_fleet_matches_oracle(db):
     """
     state = db.document_state
     for index, server in enumerate(db.transport.servers):
-        assert _rows(server._table) == state.expected_rows(index), "server %d" % index
+        assert _rows(server.table) == state.expected_rows(index), "server %d" % index
 
 
 def _ancestor_pres(state, pre):
@@ -101,7 +98,7 @@ class TestDocumentStateOracle:
         _assert_fleet_matches_oracle(db)
         # version 0 rows never carry the version column at all
         for table in db.encoded.node_tables:
-            assert all("version" not in row for row in table.scan())
+            assert all("version" not in row for row in table.rows())
 
     def test_update_touches_only_the_ancestor_path(self):
         tag_map = TagMap.from_names(TAGS, field=FIELD)
@@ -336,6 +333,24 @@ class TestTwoPhase:
         with pytest.raises(StaleVersionError):
             db.transport.servers[0].prepare_delta(payload)
 
+    def test_non_dense_delta_is_refused_at_prepare(self):
+        """A delta that would leave a gap in the pre numbers never stages:
+        the columnar table is addressed by ``pre - 1``."""
+        db = _db()
+        server = db.transport.servers[0]
+        before = list(server.table.rows())
+        delta = db.document_state.delete_subtree(db.plaintext_query("//item")[0])
+        payload = delta.payload(0)
+        rewritten = {record[0] for record in payload["upserts"]}
+        hole = min(set(range(2, len(before))) - rewritten)
+        payload = dict(payload, deletes=[hole] + list(payload["deletes"]))
+        with pytest.raises(DenseOrderError):
+            server.prepare_delta(payload)
+        assert list(server.table.rows()) == before
+        assert server.table_epoch() == 0
+        with pytest.raises(WriteConflictError):
+            server.commit_delta(payload["epoch"])  # nothing was staged
+
 
 class TestReadRepair:
     """Version skew is repaired in-line; corruption still raises typed."""
@@ -377,10 +392,10 @@ class TestReadRepair:
     def test_genuine_corruption_still_raises(self):
         db = _db()
         db.update_tag(db.plaintext_query("//city")[0], "name")
-        for row in db.encoded.node_tables[2].scan():
-            coeffs = list(row["share"])
+        for pre in range(1, len(db.encoded.node_tables[2]) + 1):
+            coeffs = db.encoded.node_tables[2].share_row(pre)
             coeffs[0] = (coeffs[0] + 7) % 83
-            row["share"] = coeffs
+            db.encoded.node_tables[2].set_share(pre, coeffs)
         with pytest.raises(InconsistentShareError) as excinfo:
             db.query("//name")
         assert excinfo.value.suspects == (2,)
@@ -397,10 +412,10 @@ class TestHealFence:
         supervisor = FleetSupervisor(
             db.transport, db.encoded.scheme, coordinator=db.write_coordinator
         )
-        for row in db.encoded.node_tables[1].scan():
-            coeffs = list(row["share"])
+        for pre in range(1, len(db.encoded.node_tables[1]) + 1):
+            coeffs = db.encoded.node_tables[1].share_row(pre)
             coeffs[0] = (coeffs[0] + 11) % 83
-            row["share"] = coeffs
+            db.encoded.node_tables[1].set_share(pre, coeffs)
         report = supervisor.heal(1)
         assert report.server == 1
         _assert_fleet_matches_oracle(db)
@@ -412,10 +427,10 @@ class TestHealFence:
         supervisor = FleetSupervisor(
             db.transport, db.encoded.scheme, coordinator=db.write_coordinator
         )
-        for row in db.encoded.node_tables[2].scan():
-            coeffs = list(row["share"])
+        for pre in range(1, len(db.encoded.node_tables[2]) + 1):
+            coeffs = db.encoded.node_tables[2].share_row(pre)
             coeffs[0] = (coeffs[0] + 3) % 83
-            row["share"] = coeffs
+            db.encoded.node_tables[2].set_share(pre, coeffs)
 
         errors = []
 

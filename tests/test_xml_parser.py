@@ -3,7 +3,7 @@
 import pytest
 
 from repro.xmldoc.nodes import XMLDocument, XMLElement, XMLError
-from repro.xmldoc.parser import ContentHandler, StreamingParser, parse_string
+from repro.xmldoc.parser import ContentHandler, StreamingParser, parse_string, replay
 from repro.xmldoc.serializer import document_byte_size, serialize, serialize_fragment
 
 
@@ -208,7 +208,46 @@ class TestSerializer:
         document = parse_string("<a><b>text</b></a>")
         assert document_byte_size(document) == len(serialize(document).encode("utf-8"))
 
+    def test_document_byte_size_counts_escapes_and_multibyte_text(self):
+        document = parse_string(
+            '<a k="say &quot;hi&quot; &amp; &lt;go&gt;"><b>1 &lt; 2 &amp; 3 &gt; 2</b>'
+            "tail é<c/>日本<d x=\"ü\"></d></a>"
+        )
+        assert document_byte_size(document) == len(serialize(document).encode("utf-8"))
+
     def test_attributes_sorted_deterministically(self):
         a = XMLElement("a", attributes={"z": "1", "b": "2"})
         b = XMLElement("a", attributes={"b": "2", "z": "1"})
         assert serialize_fragment(a) == serialize_fragment(b)
+
+
+class _Recorder(ContentHandler):
+    def __init__(self):
+        self.events = []
+
+    def start_document(self):
+        self.events.append(("start_document",))
+
+    def end_document(self):
+        self.events.append(("end_document",))
+
+    def start_element(self, tag, attributes):
+        self.events.append(("start", tag, dict(attributes)))
+
+    def end_element(self, tag):
+        self.events.append(("end", tag))
+
+    def characters(self, text):
+        self.events.append(("text", text))
+
+
+class TestReplay:
+    def test_replay_emits_the_events_of_parsing_the_serialisation(self):
+        document = parse_string(
+            '<site id="1">\n  <a k="v &amp; w">x &lt; y<b/>tail</a>\n  <c><d>deep</d></c>\n</site>'
+        )
+        parsed, replayed = _Recorder(), _Recorder()
+        StreamingParser(parsed).parse_string(serialize(document))
+        replay(document, replayed)
+        assert replayed.events == parsed.events
+        assert replayed.events[1] == ("start", "site", {"id": "1"})
